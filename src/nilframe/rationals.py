@@ -1,13 +1,16 @@
 """Exact rational parsing, formatting and root helpers.
 
-All symbolic work in the package runs on ``fractions.Fraction``; floats only
-appear in quadrature and verification layers.
+Symbolic work in the package is exact: ``fractions.Fraction`` here and in
+the algebra, and integer numerators over dyadic common denominators in the
+certified sup and measure (``spectral``), which build one Fraction per
+region.  Floats only steer refinement there, and otherwise appear only in
+quadrature and verification layers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import SchemaError
 
@@ -54,14 +57,16 @@ def _int_nth_root_floor(n: int, d: int) -> int:
     """Largest r with r**d <= n, for n >= 0."""
     if n < 0:
         raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    r = int(round(n ** (1.0 / d)))
-    while r**d > n:
-        r -= 1
-    while (r + 1) ** d <= n:
-        r += 1
-    return r
+    if n < 2 or d == 1:
+        return n
+    # integer Newton from above: 2**ceil(bits/d) exceeds the root, and the
+    # iterates fall monotonically until they reach floor(n**(1/d))
+    r = 1 << -(-n.bit_length() // d)
+    while True:
+        s = ((d - 1) * r + n // r ** (d - 1)) // d
+        if s >= r:
+            return r
+        r = s
 
 
 def ceil_nth_root(x: Fraction, d: int, digits: int = 12) -> Fraction:
@@ -93,11 +98,3 @@ def ceil_nth_root(x: Fraction, d: int, digits: int = 12) -> Fraction:
         root = Fraction(r, scale)
     return root
 
-
-def lcm_denominators(values: Sequence[Fraction]) -> int:
-    import math
-
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return den

@@ -4,7 +4,9 @@ suprema and measures over spectrum boxes.
 Symbolic identities are exact; the sup and measure routines return certified
 rational brackets produced by branch-and-bound over dyadic sub-boxes, with
 monomial-wise interval bounds (valid because every box lives in the positive
-orthant).
+orthant).  Both run on integer numerators over dyadic common denominators and
+build one Fraction per region for the returned bracket; floats only steer
+the refinement order.
 """
 
 from __future__ import annotations
@@ -164,8 +166,10 @@ class _ScaledPoly:
     """p restricted to a rational box, rewritten as an integer-coefficient
     polynomial over the unit cube: p(lo + (hi-lo) t) = P(t) / den.
 
-    Bounds and integrals over dyadic sub-boxes run on plain integers; one
-    Fraction is built per finalized box.
+    Values, bounds and integrals over dyadic points and sub-boxes run on
+    plain integers: a depth-k numerator is over den * 2**(k*deg_total) for
+    values and bounds, and over den * int_lcm * 2**(k*int_exp) for
+    integrals, with int_exp = deg_total + nvars.
     """
 
     __slots__ = (
@@ -215,33 +219,13 @@ class _ScaledPoly:
         """Integer numerators of min/max bounds of P on the dyadic box.
 
         Returns (mn_num, mx_num, scale_exp); the bounds are num / (den * 2**scale_exp).
-        Valid because the unit cube lives in the positive orthant, so each
-        monomial is monotone in every coordinate.
         """
-        D = self.deg_total
-        mn = 0
-        mx = 0
-        for mono, c in self.monos:
-            deg = sum(mono)
-            scale = 1 << (k * (D - deg))
-            lo_v = scale
-            hi_v = scale
-            for x, e in zip(lo_num, mono):
-                if e:
-                    lo_v *= x**e
-            for x, e in zip(hi_num, mono):
-                if e:
-                    hi_v *= x**e
-            if c > 0:
-                mn += c * lo_v
-                mx += c * hi_v
-            else:
-                mn += c * hi_v
-                mx += c * lo_v
-        return mn, mx, k * D
+        mn, mx = _interval_num(self.monos, self.deg_total, lo_num, hi_num, k)
+        return mn, mx, k * self.deg_total
 
-    def integral(self, lo_num: tuple[int, ...], hi_num: tuple[int, ...], k: int) -> Fraction:
-        """Exact integral of P/den over the dyadic box, in unit-cube coordinates."""
+    def integral_num(self, lo_num: tuple[int, ...], hi_num: tuple[int, ...], k: int) -> int:
+        """Exact integral of P over the dyadic box, in unit-cube coordinates, as a
+        numerator over den * int_lcm * 2**(k*int_exp)."""
         num = 0
         E = self.int_exp
         for mono, c, lcm_factor, deg in self.int_monos:
@@ -249,14 +233,7 @@ class _ScaledPoly:
             for l, h, e in zip(lo_num, hi_num, mono):
                 term *= h ** (e + 1) - l ** (e + 1)
             num += term
-        return Fraction(num, self.den * self.int_lcm << (k * E))
-
-    def dyadic_volume(self, lo_num, hi_num, k) -> Fraction:
-        vol = Fraction(1)
-        den = 1 << k
-        for l, h in zip(lo_num, hi_num):
-            vol *= Fraction(h - l, den)
-        return vol
+        return num
 
     def dyadic_volume_f(self, lo_num, hi_num, k) -> float:
         prod = 1
@@ -264,47 +241,61 @@ class _ScaledPoly:
             prod *= h - l
         return prod / float(1 << (k * self.nvars))
 
-    def evaluate_fraction(self, point: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
+    def value_num(self, num: Sequence[int], k: int) -> int:
+        """P at the dyadic point num / 2**k, as a numerator over den * 2**(k*deg_total)."""
+        D = self.deg_total
+        total = 0
         for mono, c in self.monos:
-            term = Fraction(c, self.den)
-            for x, e in zip(point, mono):
+            term = c << (k * (D - sum(mono)))
+            for x, e in zip(num, mono):
                 if e:
                     term *= x**e
             total += term
         return total
 
-    def centered_abs_upper(self, lo_num, hi_num, k) -> Fraction:
-        """Mean-value bound: |p| <= |p(c)| + sum_i sup|dp/dt_i| * halfwidth_i.
+    def centered_abs_upper(self, lo_num, hi_num, k) -> int:
+        """Mean-value bound: |p| <= |p(c)| + sum_i sup|dp/dt_i| * halfwidth_i,
+        as a numerator over den * 2**((k+1)*deg_total).
 
         Second-order tight near interior extrema, where the plain monomial
         interval bound closes only linearly.
         """
-        den = 1 << k
-        center = [Fraction(l + h, 2 * den) for l, h in zip(lo_num, hi_num)]
-        bound = abs(self.evaluate_fraction(center))
+        D = self.deg_total
+        bound = abs(self.value_num([l + h for l, h in zip(lo_num, hi_num)], k + 1))
         for axis, deriv in enumerate(self.grad_monos):
-            half = Fraction(hi_num[axis] - lo_num[axis], 2 * den)
-            if half == 0 or not deriv:
-                continue
-            mn = Fraction(0)
-            mx = Fraction(0)
-            for mono, c in deriv:
-                lo_v = Fraction(1)
-                hi_v = Fraction(1)
-                for x_lo, x_hi, e in zip(lo_num, hi_num, mono):
-                    if e:
-                        lo_v *= Fraction(x_lo, den) ** e
-                        hi_v *= Fraction(x_hi, den) ** e
-                term = Fraction(c, self.den)
-                if term > 0:
-                    mn += term * lo_v
-                    mx += term * hi_v
-                else:
-                    mn += term * hi_v
-                    mx += term * lo_v
-            bound += max(abs(mn), abs(mx)) * half
+            if deriv:
+                # sup|dP/dt_i| over den * 2**(k*(D-1)), times halfwidth over 2**(k+1)
+                mn, mx = _interval_num(deriv, D - 1, lo_num, hi_num, k)
+                bound += max(mx, -mn) * (hi_num[axis] - lo_num[axis]) << (D - 1)
         return bound
+
+
+def _interval_num(monos, degree: int, lo_num, hi_num, k: int) -> tuple[int, int]:
+    """Integer numerators (mn, mx) of bounds of sum(c * t^m) on a dyadic box,
+    over 2**(k*degree), where degree is at least every monomial's degree.
+
+    Valid because the unit cube lives in the positive orthant, so each
+    monomial is monotone in every coordinate.
+    """
+    mn = 0
+    mx = 0
+    for mono, c in monos:
+        scale = 1 << (k * (degree - sum(mono)))
+        lo_v = scale
+        hi_v = scale
+        for x, e in zip(lo_num, mono):
+            if e:
+                lo_v *= x**e
+        for x, e in zip(hi_num, mono):
+            if e:
+                hi_v *= x**e
+        if c > 0:
+            mn += c * lo_v
+            mx += c * hi_v
+        else:
+            mn += c * hi_v
+            mx += c * lo_v
+    return mn, mx
 
 
 def _split_box(lo, hi, k):
@@ -372,71 +363,75 @@ def sup_density(
         raise ValueError("dimension mismatch between polynomial and box")
     tol_frac = Fraction(tol).limit_denominator(10**18)
 
-    best_lower = Fraction(0)
-    best_point = tuple(Fraction(0) for _ in range(det_b.nvars))
+    tn, td = tol_frac.numerator, tol_frac.denominator
+    nv = det_b.nvars
+    regions = box.region()
+    scaled_list = [_ScaledPoly(det_b, lo, hi) for lo, hi in regions]
+
+    # best sample |p| = best_num / best_den; bounds are (num, den) pairs too,
+    # compared cross-multiplied, so Fractions are built only for a new argmax
+    best_num, best_den = 0, 1
+    best_point = tuple(Fraction(0) for _ in range(nv))
     heap: list = []
     counter = 0
     boxes_processed = 0
     max_depth = 0
 
-    def sample(scaled: _ScaledPoly, region_lo, region_hi, lo_num, hi_num, k):
-        nonlocal best_lower, best_point
-        den = 1 << k
-        corners = []
-        nv = len(lo_num)
-        for mask in range(1 << nv):
-            corners.append(
-                tuple(
-                    Fraction(hi_num[i] if (mask >> i) & 1 else lo_num[i], den) for i in range(nv)
+    def sample(ridx, lo_num, hi_num, k):
+        """Corners and center of the box, as dyadic points at depth k+1."""
+        nonlocal best_num, best_den, best_point
+        scaled = scaled_list[ridx]
+        den = scaled.den << ((k + 1) * scaled.deg_total)
+        lo2 = [2 * x for x in lo_num]
+        hi2 = [2 * x for x in hi_num]
+        points = [
+            tuple(hi2[i] if (mask >> i) & 1 else lo2[i] for i in range(nv))
+            for mask in range(1 << nv)
+        ]
+        points.append(tuple(l + h for l, h in zip(lo_num, hi_num)))
+        for t in points:
+            val = abs(scaled.value_num(t, k + 1))
+            if val * best_den > best_num * den:
+                best_num, best_den = val, den
+                rlo, rhi = regions[ridx]
+                step = 2 << k
+                best_point = tuple(
+                    rlo[i] + (rhi[i] - rlo[i]) * Fraction(t[i], step) for i in range(nv)
                 )
-            )
-        corners.append(tuple(Fraction(lo_num[i] + hi_num[i], 2 * den) for i in range(nv)))
-        for t in corners:
-            lam = tuple(
-                region_lo[i] + (region_hi[i] - region_lo[i]) * t[i] for i in range(nv)
-            )
-            val = abs(det_b.evaluate(lam))
-            if val > best_lower:
-                best_lower = val
-                best_point = lam
 
-    regions = box.region()
-    scaled_list = [_ScaledPoly(det_b, lo, hi) for lo, hi in regions]
+    def box_upper(scaled: _ScaledPoly, lo_num, hi_num, k) -> tuple[int, int]:
+        """min(monomial, centered) bound on |p| as (numerator, denominator)."""
+        D = scaled.deg_total
+        mn, mx, _ = scaled.bounds(lo_num, hi_num, k)
+        upper = min(max(mx, -mn) << D, scaled.centered_abs_upper(lo_num, hi_num, k))
+        return upper, scaled.den << ((k + 1) * D)
 
-    def box_upper(scaled: _ScaledPoly, lo_num, hi_num, k) -> Fraction:
-        mn, mx, se = scaled.bounds(lo_num, hi_num, k)
-        monomial = Fraction(max(abs(mn), abs(mx)), scaled.den * (1 << se))
-        centered = scaled.centered_abs_upper(lo_num, hi_num, k)
-        return min(monomial, centered)
-
-    nv = det_b.nvars
     lo0 = (0,) * nv
     hi0 = (1,) * nv
-    for ridx, (scaled, (rlo, rhi)) in enumerate(zip(scaled_list, regions)):
-        upper = box_upper(scaled, lo0, hi0, 0)
-        sample(scaled, rlo, rhi, lo0, hi0, 0)
+    for ridx, scaled in enumerate(scaled_list):
+        up, up_den = box_upper(scaled, lo0, hi0, 0)
+        sample(ridx, lo0, hi0, 0)
         counter += 1
-        heapq.heappush(heap, (-float(upper), counter, ridx, lo0, hi0, 0, upper))
+        heapq.heappush(heap, (-(up / up_den), counter, ridx, lo0, hi0, 0, up, up_den))
 
-    global_upper = max((item[6] for item in heap), default=Fraction(0))
     while heap and boxes_processed < max_boxes:
-        neg_up, _, ridx, lo_num, hi_num, k, upper = heap[0]
-        global_upper = upper
-        if global_upper - best_lower <= tol_frac:
+        _, _, ridx, lo_num, hi_num, k, up, up_den = heap[0]
+        # upper - best_lower <= tol
+        if (up * best_den - best_num * up_den) * td <= tn * up_den * best_den:
             break
         heapq.heappop(heap)
         boxes_processed += 1
         scaled = scaled_list[ridx]
-        rlo, rhi = regions[ridx]
         for clo, chi, ck in _split_box(lo_num, hi_num, k):
-            child_upper = box_upper(scaled, clo, chi, ck)
-            sample(scaled, rlo, rhi, clo, chi, ck)
+            up, up_den = box_upper(scaled, clo, chi, ck)
+            sample(ridx, clo, chi, ck)
             max_depth = max(max_depth, ck)
-            if child_upper > best_lower:
+            if up * best_den > best_num * up_den:
                 counter += 1
-                heapq.heappush(heap, (-float(child_upper), counter, ridx, clo, chi, ck, child_upper))
+                heapq.heappush(heap, (-(up / up_den), counter, ridx, clo, chi, ck, up, up_den))
+    best_lower = Fraction(best_num, best_den)
     if heap:
-        global_upper = max(best_lower, heap[0][6])
+        global_upper = max(best_lower, Fraction(heap[0][6], heap[0][7]))
     else:
         global_upper = best_lower
 
@@ -517,8 +512,9 @@ def spectral_measure(
     is refined first until the total width drops below tol.
 
     The refinement loop steers on integer interval bounds and float width
-    proxies; exact rational brackets are assembled once at the end, so float
-    rounding can never corrupt the certificate.  On budget exhaustion the
+    proxies.  Exact integrals and brackets are summed as integer numerators
+    per region and depth, and become one Fraction per region at the end, so
+    float rounding can never corrupt the certificate.  On budget exhaustion the
     bracket is still valid; ``strict`` controls whether that raises
     CertificationError or returns the wide bracket.
     """
@@ -537,7 +533,9 @@ def spectral_measure(
     max_depth = 0
     counter = 0
     heap: list = []          # open boxes: (-width_proxy, counter, ridx, lo, hi, k, mn, mx, se)
-    done: list = []          # sign-resolved boxes: (ridx, lo, hi, k, sign) with sign in {+1,-1}
+    # exact |integral| of the sign-resolved boxes, per region and depth k, as
+    # numerators over den * int_lcm * 2**(k*int_exp)
+    resolved: list[dict[int, int]] = [{} for _ in regions]
     total_width = 0.0
 
     def push(ridx, lo_num, hi_num, k):
@@ -562,10 +560,11 @@ def spectral_measure(
                 total_width += w
                 return
         if mn >= 0 or mx <= 0:
-            sign = 1 if mn >= 0 else -1
             if threshold is not None and witness is None and (mn > 0 or mx < 0):
                 witness = _to_region_box(regions, ridx, lo_num, hi_num, k)
-            done.append((ridx, lo_num, hi_num, k, sign))
+            iv = scaled.integral_num(lo_num, hi_num, k)
+            acc = resolved[ridx]
+            acc[k] = acc.get(k, 0) + (iv if mn >= 0 else -iv)
             return
         # straddling: bracket width is at most 2 vol min(mx, -mn)
         vol_f = scaled.box_volume_f * scaled.dyadic_volume_f(lo_num, hi_num, k)
@@ -588,32 +587,36 @@ def spectral_measure(
         for clo, chi, ck in _split_box(lo_num, hi_num, k):
             push(ridx, clo, chi, ck)
 
-    # exact closing sweep: sign-resolved boxes integrate exactly, open boxes
-    # contribute their rational brackets
-    lower_parts: list[Fraction] = []
-    upper_parts: list[Fraction] = []
-    for ridx, lo_num, hi_num, k, sign in done:
-        scaled = scaled_list[ridx]
-        iv = sign * scaled.integral(lo_num, hi_num, k) * scaled.box_volume
-        lower_parts.append(iv)
-        upper_parts.append(iv)
+    # exact closing sweep on integers: per region, a depth-k numerator is over
+    # den * int_lcm * thr_den * 2**(k*int_exp); sign-resolved boxes add their
+    # integrals, open boxes their brackets
+    thr_den = 1 if threshold is None else threshold.denominator
+    lower_acc = [{k: v * thr_den for k, v in acc.items()} for acc in resolved]
+    upper_acc = [dict(acc) for acc in lower_acc]
     for _, _, ridx, lo_num, hi_num, k, mn, mx, se in heap:
         scaled = scaled_list[ridx]
-        den_all = scaled.den * (1 << se)
-        vol_full = scaled.dyadic_volume(lo_num, hi_num, k) * scaled.box_volume
-        if threshold is not None and not (mx <= threshold * den_all and mn >= -threshold * den_all):
-            cap = min(threshold, Fraction(max(abs(mn), abs(mx)), den_all))
-            lower_parts.append(Fraction(0))
-            upper_parts.append(vol_full * cap)
-            continue
-        iv = scaled.integral(lo_num, hi_num, k) * scaled.box_volume
-        lb = abs(iv)
-        cap1 = vol_full * Fraction(max(mx, -mn), den_all)
-        cap2 = lb + 2 * vol_full * Fraction(min(mx, -mn), den_all)
-        lower_parts.append(lb)
-        upper_parts.append(min(cap1, cap2))
-    lower = _fraction_sum(lower_parts)
-    upper = _fraction_sum(upper_parts)
+        lo_acc = lower_acc[ridx]
+        hi_acc = upper_acc[ridx]
+        # dyadic box volume over 2**(k*nvars), times int_lcm: bounds over
+        # den * 2**se then land on the integral denominator
+        vol = scaled.int_lcm * math.prod(h - l for l, h in zip(lo_num, hi_num))
+        if threshold is not None:
+            rhs = threshold.numerator * scaled.den << se
+            if not (mx * thr_den <= rhs and mn * thr_den >= -rhs):
+                # [0, vol * min(threshold, max|p|)]
+                hi_acc[k] = hi_acc.get(k, 0) + vol * min(rhs, max(mx, -mn) * thr_den)
+                continue
+        lb = abs(scaled.integral_num(lo_num, hi_num, k))
+        cap1 = vol * max(mx, -mn)
+        cap2 = lb + 2 * vol * min(mx, -mn)
+        lo_acc[k] = lo_acc.get(k, 0) + lb * thr_den
+        hi_acc[k] = hi_acc.get(k, 0) + min(cap1, cap2) * thr_den
+    lower = Fraction(0)
+    upper = Fraction(0)
+    for scaled, lo_acc, hi_acc in zip(scaled_list, lower_acc, upper_acc):
+        den = scaled.den * scaled.int_lcm * thr_den
+        lower += _sum_depths(lo_acc, scaled.int_exp, den) * scaled.box_volume
+        upper += _sum_depths(hi_acc, scaled.int_exp, den) * scaled.box_volume
 
     converged = (upper - lower) <= tol_frac
     cert = MeasureCertificate(boxes=boxes_processed, depth=max_depth, converged=converged)
@@ -631,19 +634,14 @@ def spectral_measure(
     return result
 
 
-def _fraction_sum(parts: list[Fraction]) -> Fraction:
-    """Balanced summation; pairwise merging keeps denominators small."""
-    if not parts:
+def _sum_depths(acc: dict[int, int], exp: int, den: int) -> Fraction:
+    """sum over k of acc[k] / (den * 2**(k*exp)), shifted to the deepest depth
+    so that one Fraction is built."""
+    if not acc:
         return Fraction(0)
-    items = list(parts)
-    while len(items) > 1:
-        merged = []
-        for i in range(0, len(items) - 1, 2):
-            merged.append(items[i] + items[i + 1])
-        if len(items) % 2:
-            merged.append(items[-1])
-        items = merged
-    return items[0]
+    deepest = max(acc)
+    num = sum(v << ((deepest - k) * exp) for k, v in acc.items())
+    return Fraction(num, den << (deepest * exp))
 
 
 def _to_region_box(regions, ridx, lo_num, hi_num, k):

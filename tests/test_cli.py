@@ -1,6 +1,7 @@
 """Config parsing, command dispatch, exit codes, report determinism."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -207,3 +208,32 @@ class TestMainEntry:
         assert code == EXIT_PASS
         doc = json.loads(capsys.readouterr().out)
         assert list(doc["examples"]) == ["1"]
+
+    def test_main_design_root_beyond_float_range(self, tmp_path, capsys):
+        # b = sup**(1/3) rounded up at 200 digits: the scaled radicand is far
+        # beyond float range, and the designed b must still pass the density
+        # condition
+        doc = json.loads(Path(fixture_path("example3.json")).read_text())
+        doc["lattice"] = {"precision_digits": 200}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = main(["design", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_PASS
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads(out.read_text())
+        b = Fraction(report["design"]["params"]["b"][0])
+        sup = Fraction(report["spectral"]["sup_density"]["upper"])
+        assert b.denominator == 10**200
+        assert b**3 >= sup > (b - Fraction(1, 10**200)) ** 3
+
+    def test_main_design_fixed_lattice_at_high_precision(self, tmp_path, capsys):
+        # with b = q = 1 fixed, the density condition fails on the full
+        # example3 box: exit 2, not a traceback
+        doc = json.loads(Path(fixture_path("example3.json")).read_text())
+        doc["lattice"]["precision_digits"] = 200
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["design", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_CONDITION
+        assert "Traceback" not in capsys.readouterr().err

@@ -142,6 +142,15 @@ class TestDesignParams:
         assert r**2 >= 2
         assert r**2 - 2 < Fraction(1, 10**11)
 
+    def test_root_ceiling_beyond_float_range(self):
+        # oracle: math.isqrt; the scaled radicand 2 * 10**400 overflows a float
+        import math
+
+        from nilframe.rationals import ceil_nth_root
+
+        r = ceil_nth_root(Fraction(2), 2, digits=200)
+        assert r == Fraction(math.isqrt(2 * 10**400) + 1, 10**200)
+
 
 class TestOnbCondition:
     def test_definitional_pass(self):

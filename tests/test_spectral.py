@@ -240,3 +240,41 @@ class TestSpectralMeasure:
         plain = spectral_measure(det_b, box, tol=1e-6)
         sub = spectral_measure(det_b, box, tol=1e-3, threshold=Fraction(4), strict=False)
         assert sub.upper <= plain.upper + Fraction(1, 1000)
+
+
+class TestGoldenCertificates:
+    """Exact brackets pinned bit for bit: a change to the certified arithmetic
+    must return the same rationals, box counts and depths."""
+
+    def test_example2_measure(self, example2):
+        det_b = density_polynomial(example2)
+        res = spectral_measure(det_b, SpectrumBox(a=(Fraction(2), Fraction(3))), tol=1e-6)
+        out = res.as_dict()
+        assert out["lower"] == "2157974811528607/140737488355328"
+        assert out["upper"] == "69055197289004671/4503599627370496"
+        assert (out["boxes"], out["depth"], out["converged"]) == (23036, 27, True)
+
+    def test_example2_sublevel_two_regions(self, example2):
+        # threshold.denominator != 1 and two regions summed into one bracket
+        det_b = density_polynomial(example2)
+        box = SpectrumBox(
+            a=(Fraction(2), Fraction(3)),
+            sub_boxes=(
+                ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(3))),
+                ((Fraction(1), Fraction(1, 2)), (Fraction(2), Fraction(5, 2))),
+            ),
+        )
+        res = spectral_measure(det_b, box, tol=1e-2, threshold=Fraction(9, 2), strict=False)
+        out = res.as_dict()
+        assert out["lower"] == "219922305648257/35184372088832"
+        assert out["upper"] == "220236304230017/35184372088832"
+        assert (out["boxes"], out["depth"], out["converged"]) == (12770, 23, True)
+        assert out["witness_box"] == [["3/4", "3/2"], ["1", "9/4"]]
+
+    def test_example3_sup(self, example3):
+        det_b = density_polynomial(example3)
+        res = sup_density(det_b, SpectrumBox(a=(Fraction(1),) * 3), tol=1e-6)
+        out = res.as_dict()
+        assert (out["lower"], out["upper"]) == ("2", "4194305/2097152")
+        assert (out["boxes"], out["depth"], out["converged"]) == (57, 21, True)
+        assert out["argmax"] == ["1", "1", "0"]
