@@ -10,11 +10,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import RankDeficiencyError, SchemaError
+from .intlattice import mat_mul
 from .polynomial import generic_rank
 from .rationals import parse_rational_vector
+
+if TYPE_CHECKING:
+    from .spectral import SpectralMatrices
 
 _NAME_RE = re.compile(r"^([ZYX])(\d+)$")
 
@@ -39,6 +44,17 @@ class LieAlgebraSpec:
     @property
     def center_dim(self) -> int:
         return self.n - 2 * self.d
+
+    @cached_property
+    def matrices(self) -> SpectralMatrices:
+        """Pairing, jump and modulation matrices and det B, built once per spec.
+
+        The bracket table is never mutated after construction, so the cache
+        cannot go stale.
+        """
+        from . import spectral  # spectral depends on this module
+
+        return spectral.build_matrices(self)
 
     def basis_name(self, i: int) -> str:
         v = self.center_dim
@@ -194,9 +210,6 @@ class ValidationReport:
 
 def validate_class(spec: LieAlgebraSpec) -> ValidationReport:
     """Run the structural class checks; failures are report entries, not faults."""
-    from .spectral import build_matrices  # local import, spectral depends on this module
-    from .polynomial import determinant
-
     checks: list[CheckResult] = []
     v = spec.center_dim
 
@@ -253,8 +266,7 @@ def validate_class(spec: LieAlgebraSpec) -> ValidationReport:
     )
 
     if central_ok and p_ok and m_ok:
-        mats = build_matrices(spec)
-        det_b = determinant(mats.modulation)
+        det_b = spec.matrices.det_b
         sq_ok = not det_b.is_zero()
         checks.append(
             CheckResult(
@@ -283,7 +295,7 @@ def validate_class(spec: LieAlgebraSpec) -> ValidationReport:
             w[spec.x_index(k)] = Fraction(sign)
             mat = ad_matrix(spec, w)
             nonzero = any(any(c != 0 for c in row) for row in mat)
-            sq = _mat_mul_frac(mat, mat)
+            sq = mat_mul(mat, mat)
             square_zero = all(all(c == 0 for c in row) for row in sq)
             if not nonzero:
                 ad_ok = False
@@ -304,11 +316,6 @@ def validate_class(spec: LieAlgebraSpec) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-def _mat_mul_frac(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-
-
 def jump_indices(spec: LieAlgebraSpec) -> tuple[int, ...]:
     """Jump index set as 1-based indices, after a symbolic rank check.
 
@@ -316,10 +323,7 @@ def jump_indices(spec: LieAlgebraSpec) -> tuple[int, ...]:
     rank 2d over the rational function field, so its nullspace is exactly the
     central span; raises RankDeficiencyError otherwise.
     """
-    from .spectral import build_matrices
-
-    mats = build_matrices(spec)
-    rank = generic_rank(mats.pairing)
+    rank = generic_rank(spec.matrices.pairing)
     if rank < 2 * spec.d:
         raise RankDeficiencyError(
             f"generic rank of the pairing matrix is {rank}, expected {2 * spec.d}"

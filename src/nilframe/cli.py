@@ -34,10 +34,10 @@ from .lattice import (
     check_wavelet_discretization,
     design_params,
 )
-from .polynomial import determinant
 from .rationals import format_rational
 from .spectral import (
-    build_matrices,
+    MeasureResult,
+    SupResult,
     pfaffian_identity_check,
     spectral_measure,
     sup_density,
@@ -53,7 +53,7 @@ from .verify import (
     make_test_field,
     window_tiling_check,
 )
-from .windows import build_generator_field, field_to_document
+from .windows import FrameGeneratorField, build_generator_field, field_to_document
 
 EXIT_PASS = 0
 EXIT_CONDITION = 2
@@ -76,27 +76,26 @@ def _stage_validate(config: ConfigDocument, report: dict) -> bool:
     return rep.passed
 
 
-def _stage_analyze(config: ConfigDocument, report: dict) -> bool:
-    mats = build_matrices(config.algebra)
-    det_b = determinant(mats.modulation)
+def _stage_analyze(
+    config: ConfigDocument, report: dict
+) -> tuple[bool, SupResult, MeasureResult]:
+    mats = config.algebra.matrices
     pfaffian = pfaffian_identity_check(mats.jump_block, mats.modulation)
-    sup = sup_density(det_b, config.spectrum.box, tol=config.spectrum.sup_tol)
-    mu = spectral_measure(det_b, config.spectrum.box, tol=config.spectrum.measure_tol)
+    sup = sup_density(mats.det_b, config.spectrum.box, tol=config.spectrum.sup_tol)
+    mu = spectral_measure(mats.det_b, config.spectrum.box, tol=config.spectrum.measure_tol)
     report["spectral"] = {
-        "det_b": det_b.coefficient_list(),
+        "det_b": mats.det_b.coefficient_list(),
         "pfaffian": pfaffian.as_dict(),
         "sup_density": sup.as_dict(),
         "measure": mu.as_dict(),
     }
-    report["_sup"] = sup
-    report["_mu"] = mu
-    report["_det_b"] = det_b
-    return pfaffian.passed
+    return pfaffian.passed, sup, mu
 
 
-def _stage_design(config: ConfigDocument, report: dict) -> bool:
-    sup = report["_sup"]
-    mu = report["_mu"]
+def _stage_design(
+    config: ConfigDocument, report: dict, sup: SupResult, mu: MeasureResult
+) -> tuple[bool, QuasiLatticeParams, bool]:
+    """Returns (verdict, lattice parameters, density condition verdict)."""
     box = config.spectrum.box
     fixed = resolve_params(config)
     if fixed is not None:
@@ -123,29 +122,28 @@ def _stage_design(config: ConfigDocument, report: dict) -> bool:
         "predicted_generator_norm_sq": predicted_norm_sq,
         "conditions": [density.as_dict(), onb.as_dict(), wavelet.as_dict()],
     }
-    report["_params"] = params
     ok = density.passed
     if config.lattice.onb_requested:
         ok = ok and onb.passed
-    return ok
+    return ok, params, density.passed
 
 
-def _stage_synthesize(config: ConfigDocument, report: dict, out_path: str | None) -> bool:
-    params: QuasiLatticeParams = report["_params"]
-    box = config.spectrum.box
-    density = next(c for c in report["design"]["conditions"] if c["condition"] == "density")
-    if not density["passed"]:
-        report["synthesis"] = {"refused": "density condition fails; no window can be Parseval"}
-        return False
+def _stage_synthesize(
+    config: ConfigDocument,
+    report: dict,
+    params: QuasiLatticeParams,
+    mu: MeasureResult,
+    out_path: str | None,
+) -> FrameGeneratorField:
     v = config.algebra.center_dim
     grid = config.verification.lam_grid or (16,) * v
     field = build_generator_field(
         config.algebra,
         params,
-        box,
+        config.spectrum.box,
         grid_shape=grid,
         role="frame",
-        mu_box=report["_mu"],
+        mu_box=mu,
         eps_degenerate=config.spectrum.eps_degenerate,
         piece_limit=config.verification.piece_limit,
     )
@@ -161,8 +159,7 @@ def _stage_synthesize(config: ConfigDocument, report: dict, out_path: str | None
         "grid_measured_norm_sq": field.grid_measured_norm_sq(),
         "field_path": target,
     }
-    report["_field"] = field
-    return True
+    return field
 
 
 def _default_trunc(config: ConfigDocument) -> TruncationSpec:
@@ -176,9 +173,12 @@ def _default_trunc(config: ConfigDocument) -> TruncationSpec:
     )
 
 
-def _stage_verify(config: ConfigDocument, report: dict) -> bool:
-    field = report["_field"]
-    params: QuasiLatticeParams = report["_params"]
+def _stage_verify(
+    config: ConfigDocument,
+    report: dict,
+    params: QuasiLatticeParams,
+    field: FrameGeneratorField,
+) -> bool:
     spec = config.algebra
     d = spec.d
     box = config.spectrum.box
@@ -270,23 +270,19 @@ _EX2_DET = [[[0, 2], "-1"], [[2, 0], "1"]]
 _EX3_DET = [[[0, 0, 3], "-1"], [[0, 3, 0], "-1"], [[1, 1, 1], "3"], [[3, 0, 0], "-1"]]
 
 
-def _run_example_1() -> tuple[dict, bool]:
-    config = parse_config(fixture_path("heisenberg.json"))
+def _run_example(label: str, checks_of, design_decides: bool = True) -> tuple[dict, bool]:
+    """Run validate, analyze and design on the bundled fixture ``label`` and
+    apply its checks ``checks_of(report, conditions, sup, mu)``."""
+    config = parse_config(fixture_path(f"{label}.json"))
     report: dict = {}
-    ok = _stage_validate(config, report) and _stage_analyze(config, report)
-    ok = _stage_design(config, report) and ok
+    ok = _stage_validate(config, report)
+    analyzed, sup, mu = _stage_analyze(config, report)
+    designed, _, _ = _stage_design(config, report, sup, mu)
+    ok = ok and analyzed and (designed or not design_decides)
     conditions = {c["condition"]: c for c in report["design"]["conditions"]}
-    density = conditions["density"]
-    onb = conditions["orthonormal_basis"]
-    checks = {
-        "density_passes_at_unit_q": density["passed"],
-        "onb_fails": not onb["passed"],
-        "onb_required_q": onb["margins"].get("required_uniform_q") == "1/2",
-        "onb_q_conflicts_with_density": onb["margins"].get("required_q_density_compatible")
-        is False,
-    }
+    checks = checks_of(report, conditions, sup, mu)
     out = {
-        "label": "heisenberg",
+        "label": label,
         "checks": checks,
         "design": report["design"],
         "matches": all(checks.values()) and ok,
@@ -294,15 +290,20 @@ def _run_example_1() -> tuple[dict, bool]:
     return out, out["matches"]
 
 
-def _run_example_2() -> tuple[dict, bool]:
-    config = parse_config(fixture_path("example2.json"))
-    report: dict = {}
-    ok = _stage_validate(config, report) and _stage_analyze(config, report)
-    ok = _stage_design(config, report) and ok
-    mu = report["_mu"]
-    sup = report["_sup"]
-    conditions = {c["condition"]: c for c in report["design"]["conditions"]}
-    checks = {
+def _example_1_checks(report, conditions, sup, mu) -> dict:
+    density = conditions["density"]
+    onb = conditions["orthonormal_basis"]
+    return {
+        "density_passes_at_unit_q": density["passed"],
+        "onb_fails": not onb["passed"],
+        "onb_required_q": onb["margins"].get("required_uniform_q") == "1/2",
+        "onb_q_conflicts_with_density": onb["margins"].get("required_q_density_compatible")
+        is False,
+    }
+
+
+def _example_2_checks(report, conditions, sup, mu) -> dict:
+    return {
         "det_b": report["spectral"]["det_b"] == _EX2_DET,
         "sup_is_nine": abs(sup.value - 9.0) <= 1e-9,
         "measure_46_3": mu.lower <= Fraction(46, 3) <= mu.upper
@@ -316,43 +317,28 @@ def _run_example_2() -> tuple[dict, bool]:
         "onb_fails_46_3_vs_54": not conditions["orthonormal_basis"]["passed"]
         and conditions["orthonormal_basis"]["margins"]["target"] == 54.0,
     }
-    out = {
-        "label": "example2",
-        "checks": checks,
-        "design": report["design"],
-        "matches": all(checks.values()) and ok,
-    }
-    return out, out["matches"]
 
 
-def _run_example_3() -> tuple[dict, bool]:
-    config = parse_config(fixture_path("example3.json"))
-    report: dict = {}
-    ok = _stage_validate(config, report) and _stage_analyze(config, report)
-    # the uniform density condition fails on the full box here (sup = 2 > 1);
-    # the wavelet construction lives on the sublevel region instead, so the
-    # design stage verdict is informational for this fixture
-    _stage_design(config, report)
-    conditions = {c["condition"]: c for c in report["design"]["conditions"]}
+def _example_3_checks(report, conditions, sup, mu) -> dict:
     wavelet = conditions["wavelet_discretization"]
-    checks = {
+    return {
         "det_b": report["spectral"]["det_b"] == _EX3_DET,
         "unit_product": wavelet["margins"]["product"] == "1",
         "sublevel_nonempty": wavelet["margins"]["sublevel_nonempty"] is True,
         "sublevel_measure_positive": wavelet["margins"]["sublevel_measure_lower"] > 0,
         "discretizable": wavelet["passed"],
     }
-    out = {
-        "label": "example3",
-        "checks": checks,
-        "design": report["design"],
-        "matches": all(checks.values()) and ok,
-    }
-    return out, out["matches"]
 
 
 def run_examples(which: int | None = None) -> tuple[dict, int]:
-    runners = {1: _run_example_1, 2: _run_example_2, 3: _run_example_3}
+    runners = {
+        1: lambda: _run_example("heisenberg", _example_1_checks),
+        2: lambda: _run_example("example2", _example_2_checks),
+        # the uniform density condition fails on the full box here (sup = 2 > 1);
+        # the wavelet construction lives on the sublevel region instead, so the
+        # design stage verdict is informational for this fixture
+        3: lambda: _run_example("example3", _example_3_checks, design_decides=False),
+    }
     selected = [which] if which else [1, 2, 3]
     out = {}
     all_ok = True
@@ -366,6 +352,27 @@ def run_examples(which: int | None = None) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
+
+
+def _run_stages(command: str, config: ConfigDocument, report: dict, out_path: str | None) -> bool:
+    """Run the stages ``command`` needs, each fed the previous stage's results;
+    True when every requested check passes."""
+    ok = _stage_validate(config, report)
+    if not ok or command == "validate":
+        return ok
+    ok, sup, mu = _stage_analyze(config, report)
+    if not ok or command == "analyze":
+        return ok
+    ok, params, density_ok = _stage_design(config, report, sup, mu)
+    if command == "design":
+        return ok
+    if not density_ok:
+        report["synthesis"] = {"refused": "density condition fails; no Parseval window exists"}
+        return False
+    field = _stage_synthesize(
+        config, report, params, mu, out_path if command == "synthesize" else None
+    )
+    return command == "synthesize" or _stage_verify(config, report, params, field)
 
 
 def run_command(
@@ -396,33 +403,8 @@ def run_command(
         "command": command,
         "config": config.raw,
     }
-    code = EXIT_PASS
     try:
-        ok = _stage_validate(config, report)
-        if command == "validate":
-            code = EXIT_PASS if ok else EXIT_CONDITION
-        elif not ok:
-            code = EXIT_CONDITION
-        else:
-            ok = _stage_analyze(config, report)
-            if not ok:
-                code = EXIT_CONDITION
-            elif command in ("design", "synthesize", "verify"):
-                ok = _stage_design(config, report)
-                if command == "design":
-                    code = EXIT_PASS if ok else EXIT_CONDITION
-                elif not ok and not _density_passed(report):
-                    report["synthesis"] = {
-                        "refused": "density condition fails; no Parseval window exists"
-                    }
-                    code = EXIT_CONDITION
-                else:
-                    ok = _stage_synthesize(config, report, out_path if command == "synthesize" else None)
-                    if not ok:
-                        code = EXIT_CONDITION
-                    elif command == "verify":
-                        ok = _stage_verify(config, report)
-                        code = EXIT_PASS if ok else EXIT_CONDITION
+        code = EXIT_PASS if _run_stages(command, config, report, out_path) else EXIT_CONDITION
     except CertificationError as exc:
         report["error"] = {"type": "certification", "message": str(exc)}
         code = EXIT_CERTIFICATION
@@ -430,23 +412,10 @@ def run_command(
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = EXIT_CONDITION
 
-    for key in list(report):
-        if key.startswith("_"):
-            del report[key]
     report["status"] = "pass" if code == EXIT_PASS else "fail"
     if timing or (config is not None and config.output.timing):
         report["timing"] = {"seconds": time.monotonic() - t0}
     return report, code
-
-
-def _density_passed(report: dict) -> bool:
-    try:
-        density = next(
-            c for c in report["design"]["conditions"] if c["condition"] == "density"
-        )
-        return bool(density["passed"])
-    except (KeyError, StopIteration):
-        return False
 
 
 def canonical_json(doc: dict) -> str:

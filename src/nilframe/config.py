@@ -53,7 +53,6 @@ class VerificationConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    report_path: str | None = None
     field_path: str | None = None
     csv_path: str | None = None
     timing: bool = False
@@ -204,12 +203,11 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
     )
 
     output_raw = doc.get("output", {})
-    _check_keys(output_raw, {"report_path", "field_path", "csv_path", "timing"}, "output")
+    _check_keys(output_raw, {"field_path", "csv_path", "timing"}, "output")
     timing = output_raw.get("timing", False)
     if not isinstance(timing, bool):
         raise SchemaError("output.timing", "expected a boolean")
     output = OutputConfig(
-        report_path=output_raw.get("report_path"),
         field_path=output_raw.get("field_path"),
         csv_path=output_raw.get("csv_path"),
         timing=timing,

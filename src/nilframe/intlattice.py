@@ -1,7 +1,9 @@
 """Exact linear algebra over rationals and column-style Hermite normal form.
 
-Small helpers shared by the window synthesis: everything here is a list of
-lists of Fractions (or ints for HNF), sized d <= 3 in practice.
+This is the package's one exact rational linear-algebra module: products,
+determinants and inverses of Fraction matrices for the algebra checks, the
+fiber lattices, the window synthesis and the verifier.  Everything here is a
+list of lists of Fractions (or ints for HNF), sized d <= 3 in practice.
 """
 
 from __future__ import annotations

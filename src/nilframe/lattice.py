@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .algebra import LieAlgebraSpec
 from .errors import SchemaError
-from .polynomial import SpectralPolynomial
+from .intlattice import mat_det
 from .rationals import ceil_nth_root, format_rational
 from .spectral import (
     MeasureResult,
@@ -99,26 +99,10 @@ class FiberGaborLattice:
         }
 
 
-def _det_frac(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = Fraction(0)
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        sub = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det_frac(sub)
-    return total
-
-
 def fiber_lattice(
     spec: LieAlgebraSpec,
     params: QuasiLatticeParams,
     lam: Sequence[Fraction],
-    det_b_poly: SpectralPolynomial | None = None,
 ) -> FiberGaborLattice:
     """Evaluate the fiber lattice at a rational spectral point.
 
@@ -126,12 +110,8 @@ def fiber_lattice(
     is cross-checked exactly; a mismatch would indicate a broken modulation
     matrix and raises AssertionError.
     """
-    from .spectral import build_matrices
-
-    if det_b_poly is None:
-        det_b_poly = density_polynomial(spec)
     lam = tuple(Fraction(x) for x in lam)
-    mats = build_matrices(spec)
+    mats = spec.matrices
     d = spec.d
     mod = tuple(
         tuple(mats.modulation[i][j].evaluate(lam) / params.q[j] for j in range(d))
@@ -141,9 +121,9 @@ def fiber_lattice(
         tuple(Fraction(1, 1) / params.b[i] if i == j else Fraction(0) for j in range(d))
         for i in range(d)
     )
-    det_b_val = det_b_poly.evaluate(lam)
+    det_b_val = mats.det_b.evaluate(lam)
     volume = abs(det_b_val) / (params.prod_b * params.prod_q)
-    cross = abs(_det_frac([list(r) for r in trans]) * _det_frac([list(r) for r in mod]))
+    cross = abs(mat_det(trans) * mat_det(mod))
     assert cross == volume, "fiber volume identity violated"
     return FiberGaborLattice(
         lam=lam, translation=trans, modulation=mod, det_b=det_b_val, volume=volume

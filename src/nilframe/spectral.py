@@ -33,15 +33,20 @@ class SpectralMatrices:
     pairing:    n x n matrix of the central functional paired with brackets.
     jump_block: restriction of the pairing to the top-2d (jump) indices.
     modulation: d x d matrix generating the fiber modulation lattice.
+    det_b:      det of modulation; the Plancherel density is its absolute value.
     """
 
     pairing: tuple[tuple[SpectralPolynomial, ...], ...]
     jump_block: tuple[tuple[SpectralPolynomial, ...], ...]
     modulation: tuple[tuple[SpectralPolynomial, ...], ...]
+    det_b: SpectralPolynomial
 
 
 def build_matrices(spec: LieAlgebraSpec) -> SpectralMatrices:
-    """Degree-one polynomial matrices from the bracket table."""
+    """Degree-one polynomial matrices from the bracket table, and det B.
+
+    Callers read ``spec.matrices``, which builds them once per spec.
+    """
     v = spec.center_dim
     n = spec.n
 
@@ -54,7 +59,9 @@ def build_matrices(spec: LieAlgebraSpec) -> SpectralMatrices:
         tuple(-pair_poly(spec.x_index(i), spec.y_index(j)) for j in range(spec.d))
         for i in range(spec.d)
     )
-    return SpectralMatrices(pairing=pairing, jump_block=jump, modulation=modulation)
+    return SpectralMatrices(
+        pairing=pairing, jump_block=jump, modulation=modulation, det_b=determinant(modulation)
+    )
 
 
 def block_structure_holds(mats: SpectralMatrices, d: int) -> bool:
@@ -94,7 +101,7 @@ def pfaffian_identity_check(
 
 def density_polynomial(spec: LieAlgebraSpec) -> SpectralPolynomial:
     """det of the modulation matrix; the Plancherel density is its absolute value."""
-    return determinant(build_matrices(spec).modulation)
+    return spec.matrices.det_b
 
 
 # ---------------------------------------------------------------------------

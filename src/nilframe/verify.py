@@ -25,8 +25,8 @@ import numpy as np
 from .algebra import LieAlgebraSpec
 from .errors import MisalignedGridError, SchemaError
 from .intlattice import mat_det, mat_inv, mat_transpose, mat_vec
-from .lattice import QuasiLatticeParams
-from .spectral import SpectrumBox, build_matrices, density_polynomial
+from .lattice import QuasiLatticeParams, fiber_lattice
+from .spectral import SpectrumBox, density_polynomial
 from .windows import FieldNode, FrameGeneratorField, PiecewiseBoxWindow
 
 
@@ -232,20 +232,6 @@ def bump_profile(center: float, width: float):
 # ---------------------------------------------------------------------------
 
 
-def modulation_matrix_at(
-    spec: LieAlgebraSpec, params: QuasiLatticeParams, lam: Sequence[Fraction]
-) -> np.ndarray:
-    """Float d x d matrix generating the modulation lattice at λ."""
-    mats = build_matrices(spec)
-    lam = list(lam)
-    return np.array(
-        [
-            [float(mats.modulation[i][j].evaluate(lam) / params.q[j]) for j in range(spec.d)]
-            for i in range(spec.d)
-        ]
-    )
-
-
 def apply_fiber_rep(
     spec: LieAlgebraSpec,
     params: QuasiLatticeParams,
@@ -265,7 +251,7 @@ def apply_fiber_rep(
         raise ValueError("gamma has wrong dimension")
     shifted = _shift_with_zeros(values, x_grid.shift_steps(n_vec, params.b))
     if any(k != 0 for k in k_vec):
-        mod = modulation_matrix_at(spec, params, lam)
+        mod = np.array(fiber_lattice(spec, params, lam).modulation, dtype=float)
         freq = mod @ np.array([float(k) for k in k_vec])
         mesh = x_grid.mesh()
         phase = np.zeros_like(mesh[0])
@@ -319,7 +305,6 @@ def fiber_parseval_defect(
     normalized window, which by construction is the plain Gabor system of the
     synthesized window.
     """
-    lam = node.lam
     r_val = abs(float(node.lattice.det_b))
     if r_val == 0.0:
         raise ZeroDivisionError("degenerate fiber")
@@ -327,7 +312,7 @@ def fiber_parseval_defect(
     axes = x_grid.axes()
     w = node.window.sample_grid(axes) * node.window.scale * node.normalization
     xcell = x_grid.cell_volume
-    mod = modulation_matrix_at(spec, params, lam)
+    mod = np.array(node.lattice.modulation, dtype=float)
     mesh = x_grid.mesh()
 
     ratios = []
@@ -443,7 +428,7 @@ def frame_energy_ratio(
     for node in nodes:
         w = node.window.sample_grid(axes) * node.window.scale * node.normalization
         win.append(w)
-        mods.append(modulation_matrix_at(spec, params, node.lam))
+        mods.append(np.array(node.lattice.modulation, dtype=float))
         test_vals.append(psi.values[node.lam])
         dens.append(psi.density[node.lam])
     dens_arr = np.array(dens)
@@ -701,11 +686,6 @@ class _FiberGram:
                 phase = sum(self.offsets_f[i][t] * xi[t] for t in range(d))
                 total += np.exp(2j * np.pi * phase) * acc
         return self.window.scale**2 * self.det_s * np.exp(2j * np.pi * phase0) * total
-
-
-def _fiber_gram_entry(node: FieldNode, lattice, gamma, gamma2) -> complex:
-    """Single closed-form inner product of two lattice shifts of the window."""
-    return _FiberGram(node).entry(gamma, gamma2)
 
 
 def gram_orthonormality_check(

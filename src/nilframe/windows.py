@@ -334,7 +334,7 @@ def build_generator_field(
         if role == "wavelet" and abs(det_val) > params.prod_bq:
             skipped.append((lam, "outside sublevel region"))
             continue
-        lat = fiber_lattice(spec, params, lam, det_b_poly=det_b)
+        lat = fiber_lattice(spec, params, lam)
         window = synthesize_window(lat, piece_limit=piece_limit)
         normalization = 1.0 / math.sqrt(prod_a * abs(float(det_val)))
         node = FieldNode(lam=lam, window=window, normalization=normalization, lattice=lat)

@@ -109,6 +109,22 @@ class TestRunCommand:
         assert not out.exists()
         assert "refused" in report["synthesis"]
 
+    def test_synthesize_builds_spectral_matrices_once(self, tmp_path, monkeypatch):
+        import nilframe.spectral as spectral
+
+        calls = []
+        original = spectral.build_matrices
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(spectral, "build_matrices", counting)
+        config = parse_config(desk_config_doc())
+        _, code = run_command("synthesize", config, out_path=str(tmp_path / "field.json"))
+        assert code == EXIT_PASS
+        assert len(calls) == 1
+
     def test_synthesize_writes_field_document(self, tmp_path):
         config = parse_config(desk_config_doc())
         out = tmp_path / "field.json"
@@ -188,6 +204,16 @@ class TestMainEntry:
         code = main(["validate", "--config", str(cfg)])
         assert code == EXIT_INPUT
         assert "algebra.d" in capsys.readouterr().out
+
+    def test_main_output_report_path_is_a_schema_error(self, tmp_path, capsys):
+        # only --out sets a report path; the config key is rejected, not ignored
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(desk_config_doc(output={"report_path": "r.json"})))
+        code = main(["validate", "--config", str(cfg)])
+        assert code == EXIT_INPUT
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "schema"
+        assert error["field"] == "output"
 
     def test_main_report_to_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

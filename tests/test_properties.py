@@ -84,7 +84,7 @@ def test_fiber_volume_equals_density_ratio(seed):
         b=tuple(Fraction(rng.randint(1, 4)) for _ in range(spec.d)),
     )
     lam = tuple(Fraction(rng.randint(0, 8), 4) for _ in range(spec.center_dim))
-    lat = fiber_lattice(spec, params, lam, det_b_poly=det_b)
+    lat = fiber_lattice(spec, params, lam)
     assert lat.volume == eval_density(det_b, lam) / params.prod_bq
 
 
@@ -140,7 +140,7 @@ def test_window_norm_equals_volume_across_random_fibers():
         box = SpectrumBox(a=tuple(Fraction(1) for _ in range(spec.center_dim)))
         params, _ = design_params(spec, box, sup_tol=1e-6)
         lam = tuple(Fraction(2 * rng.randint(0, 7) + 1, 16) for _ in range(spec.center_dim))
-        lat = fiber_lattice(spec, params, lam, det_b_poly=det_b)
+        lat = fiber_lattice(spec, params, lam)
         if lat.det_b == 0 or lat.volume > 1:
             continue
         try:

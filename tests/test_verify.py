@@ -311,7 +311,7 @@ class TestGram:
         # closed-form piece-pair integrals vs midpoint quadrature over a box
         # covering all translates; midpoint sampling keeps the indicator
         # quadrature second-order accurate
-        from nilframe.verify import _fiber_gram_entry
+        from nilframe.verify import _FiberGram
 
         params = QuasiLatticeParams(a=(F(2), F(3)), q=(F(1), F(1)), b=(F(3), F(3)))
         node = make_node(example2, params, (F(1, 2), F(5, 2)))
@@ -338,7 +338,7 @@ class TestGram:
             (((1, -1), (1, 0)), ((0, 1), (0, 1))),
             (((0, 0), (1, 1)), ((0, 0), (0, 0))),
         ]:
-            closed = _fiber_gram_entry(node, node.lattice, gamma1, gamma2)
+            closed = _FiberGram(node).entry(gamma1, gamma2)
             coarse = abs(closed - oracle(gamma1, gamma2, 32))
             fine = abs(closed - oracle(gamma1, gamma2, 64))
             assert fine < 5e-4 * max(1.0, abs(closed))
