@@ -41,7 +41,7 @@ for row in mats.modulation:
     print("  ", [repr(p) for p in row])
 print("det:", det_b)
 
-pfaffian = pfaffian_identity_check(mats.jump_block, mats.modulation)
+pfaffian = pfaffian_identity_check(mats.jump_block, mats.det_b)
 print("jump-block determinant equals det^2:", pfaffian.passed)
 
 print("\ndensity samples:")

@@ -80,7 +80,7 @@ def _stage_analyze(
     config: ConfigDocument, report: dict
 ) -> tuple[bool, SupResult, MeasureResult]:
     mats = config.algebra.matrices
-    pfaffian = pfaffian_identity_check(mats.jump_block, mats.modulation)
+    pfaffian = pfaffian_identity_check(mats.jump_block, mats.det_b)
     sup = sup_density(mats.det_b, config.spectrum.box, tol=config.spectrum.sup_tol)
     mu = spectral_measure(mats.det_b, config.spectrum.box, tol=config.spectrum.measure_tol)
     report["spectral"] = {
@@ -107,6 +107,7 @@ def _stage_design(
             q_hint=config.lattice.q,
             sup_tol=config.spectrum.sup_tol,
             precision_digits=config.lattice.precision_digits,
+            sup_result=sup,
         )
     density = check_density_condition(config.algebra, params, box, sup_result=sup)
     onb = check_onb_condition(params, mu)

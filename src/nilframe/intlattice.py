@@ -28,10 +28,6 @@ def mat_transpose(a: Sequence[Sequence[Fraction]]) -> Matrix:
     return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
-def mat_identity(n: int) -> Matrix:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def mat_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(m)
     if n == 1:
@@ -133,10 +129,6 @@ def integer_matrix(m: Sequence[Sequence[Fraction]]) -> list[list[int]]:
             int_row.append(int(x))
         out.append(int_row)
     return out
-
-
-def floor_vector(v: Sequence[Fraction]) -> list[int]:
-    return [x.numerator // x.denominator for x in v]
 
 
 def frac_vector(v: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -195,6 +195,7 @@ def design_params(
     q_hint: Sequence[Fraction] | None = None,
     sup_tol: float = 1e-9,
     precision_digits: int = 12,
+    sup_result: SupResult | None = None,
 ) -> tuple[QuasiLatticeParams, SupResult]:
     """Pick lattice densities from the certified supremum.
 
@@ -202,10 +203,11 @@ def design_params(
     rational at the configured precision with b_i**d >= sup (rounding up
     shrinks fiber volumes, so the density condition survives the rounding),
     and q defaults to all ones.  A q hint with prod(1/q_i) > 1 would break
-    the design guarantee and is rejected.
+    the design guarantee and is rejected.  A ``sup_result`` already certified
+    over the same box is used as is.
     """
-    det_b = density_polynomial(spec)
-    sup_result = sup_density(det_b, box, tol=sup_tol)
+    if sup_result is None:
+        sup_result = sup_density(density_polynomial(spec), box, tol=sup_tol)
     d = spec.d
     if q_hint is not None:
         q = tuple(Fraction(x) for x in q_hint)

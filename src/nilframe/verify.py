@@ -6,6 +6,10 @@ quadratures, and the full frame energy is accumulated through the coefficient
 formula (fiber inner products, weighted by the Plancherel density, expanded
 against the exponential family of the spectral box).
 
+Modulations factor over the axes of the product x-grid, exp(-2 pi i x.Bk) =
+prod_a exp(-2 pi i x_a (Bk)_a): with one phase table per axis and node, each
+(translation, node) pair costs one matrix product for every k at once.
+
 The λ-grid Fourier step is exact at grid level: coefficients are taken over
 one period of distinct alias classes of the grid, so requesting more central
 indices than the grid resolves cannot double-count energy; the clipping is
@@ -251,13 +255,11 @@ def apply_fiber_rep(
         raise ValueError("gamma has wrong dimension")
     shifted = _shift_with_zeros(values, x_grid.shift_steps(n_vec, params.b))
     if any(k != 0 for k in k_vec):
-        mod = np.array(fiber_lattice(spec, params, lam).modulation, dtype=float)
-        freq = mod @ np.array([float(k) for k in k_vec])
-        mesh = x_grid.mesh()
-        phase = np.zeros_like(mesh[0])
-        for axis in range(d):
-            phase = phase + mesh[axis] * freq[axis]
-        shifted = shifted * np.exp(2j * np.pi * phase)
+        mod = fiber_lattice(spec, params, lam).modulation
+        for axis, table in enumerate(_phase_tables(mod, [k_vec], x_grid.axes())):
+            shape = [1] * d
+            shape[axis] = -1
+            shifted = shifted * np.conj(table[0]).reshape(shape)
     return shifted
 
 
@@ -275,6 +277,51 @@ def _shift_with_zeros(arr: np.ndarray, steps: tuple[int, ...]) -> np.ndarray:
         out = out.copy()
         out[tuple(idx)] = 0.0
     return out
+
+
+def _phase_tables(
+    modulation: Sequence[Sequence], k_vecs: Sequence[Sequence[int]], axes: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Per grid axis a, the (K x N_a) table exp(-2 pi i x_a (Bk)_a) over the
+    modulation indices k of ``k_vecs``, with B the modulation matrix."""
+    mod = np.array(modulation, dtype=float)
+    freq = np.array(k_vecs, dtype=float) @ mod.T
+    return [np.exp(-2j * np.pi * np.outer(freq[:, a], x)) for a, x in enumerate(axes)]
+
+
+def _modulated_pairings(tables: Sequence[np.ndarray], prod: np.ndarray) -> np.ndarray:
+    """Sum over the grid of prod(x) exp(-2 pi i x.Bk), for every k of the tables.
+
+    With prod = f conj(T_n w) this is <f, M_Bk T_n w> up to the x-cell volume.
+    The first axis contracts in one matrix product, each later axis in a
+    broadcast multiply and a sum, so the cost is K (N_1 + ... + N_d)
+    exponentials instead of K N_1 ... N_d.
+    """
+    first = tables[0]
+    out = (first @ prod.reshape(first.shape[1], -1)).reshape(first.shape[:1] + prod.shape[1:])
+    for table in tables[1:]:
+        out = np.sum(out * table.reshape(table.shape + (1,) * (out.ndim - 2)), axis=1)
+    return out
+
+
+def _fiber_pairings(
+    node: FieldNode, f: np.ndarray, trunc: TruncationSpec, x_grid: XGrid, b: Sequence[Fraction]
+) -> np.ndarray:
+    """<f, M_Bk T_n w> for the node's normalized window w, as a (K x N) array
+    over the modulation indices k and translation indices n of ``trunc``;
+    translates that leave the grid are skipped and pair to zero."""
+    axes = x_grid.axes()
+    w = node.window.sample_grid(axes) * node.window.scale * node.normalization
+    tables = _phase_tables(
+        node.lattice.modulation, list(product(*[range(-h, h + 1) for h in trunc.k_half])), axes
+    )
+    n_vecs = list(product(*[range(-h, h + 1) for h in trunc.n_half]))
+    out = np.zeros((len(tables[0]), len(n_vecs)), dtype=complex)
+    for ni, n_vec in enumerate(n_vecs):
+        wn = _shift_with_zeros(w, x_grid.shift_steps(n_vec, b))
+        if wn.any():
+            out[:, ni] = _modulated_pairings(tables, f * np.conj(wn))
+    return out * x_grid.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -309,31 +356,13 @@ def fiber_parseval_defect(
     if r_val == 0.0:
         raise ZeroDivisionError("degenerate fiber")
     prefactor = float(params.prod_a) * r_val  # squared frame weight
-    axes = x_grid.axes()
-    w = node.window.sample_grid(axes) * node.window.scale * node.normalization
-    xcell = x_grid.cell_volume
-    mod = np.array(node.lattice.modulation, dtype=float)
-    mesh = x_grid.mesh()
-
+    norms = [float(np.sum(np.abs(test) ** 2)) * x_grid.cell_volume for test in tests]
+    if 0.0 in norms:
+        raise ValueError("zero-norm test function")
     ratios = []
-    for test in tests:
-        nrm = float(np.sum(np.abs(test) ** 2)) * xcell
-        if nrm == 0.0:
-            raise ValueError("zero-norm test function")
-        total = 0.0
-        for n_vec in product(*[range(-h, h + 1) for h in trunc.n_half]):
-            wn = _shift_with_zeros(w, x_grid.shift_steps(n_vec, params.b))
-            if not wn.any():
-                continue
-            base = np.conj(wn) * test
-            for k_vec in product(*[range(-h, h + 1) for h in trunc.k_half]):
-                freq = mod @ np.array([float(k) for k in k_vec])
-                phase = np.zeros_like(mesh[0])
-                for axis in range(len(freq)):
-                    phase = phase + mesh[axis] * freq[axis]
-                ip = np.sum(base * np.exp(-2j * np.pi * phase)) * xcell
-                total += prefactor * abs(ip) ** 2
-        ratios.append(float(total / nrm))
+    for test, nrm in zip(tests, norms):
+        ips = _fiber_pairings(node, test, trunc, x_grid, params.b)
+        ratios.append(prefactor * float(np.sum(np.abs(ips) ** 2)) / nrm)
     defect = float(max(abs(r - 1.0) for r in ratios))
     return DefectReport(defect=defect, energy_ratios=tuple(ratios))
 
@@ -405,9 +434,6 @@ def frame_energy_ratio(
     if norm_sq == 0.0:
         raise ValueError("zero test field")
     x_grid = psi.x_grid
-    xcell = x_grid.cell_volume
-    axes = x_grid.axes()
-    mesh = x_grid.mesh()
     lam_cell = psi.cell_volume
 
     m_axes, m_clipped = _alias_free_m_values(trunc.m_half, generator.grid_shape)
@@ -420,38 +446,20 @@ def frame_energy_ratio(
             ph = sum(float(lam[t] / generator.box.a[t]) * m_vec[t] for t in range(len(m_vec)))
             e_mat[mi, li] = np.exp(2j * np.pi * ph)
 
-    # per-node precomputation
-    win = []
-    mods = []
-    test_vals = []
-    dens = []
-    for node in nodes:
-        w = node.window.sample_grid(axes) * node.window.scale * node.normalization
-        win.append(w)
-        mods.append(np.array(node.lattice.modulation, dtype=float))
-        test_vals.append(psi.values[node.lam])
-        dens.append(psi.density[node.lam])
-    dens_arr = np.array(dens)
+    # fiber inner products h[k, n, node] = <psi(λ), M_Bk T_n w(λ)>
+    h = np.stack(
+        [_fiber_pairings(node, psi.values[node.lam], trunc, x_grid, params.b) for node in nodes],
+        axis=-1,
+    )
+    h *= np.array([psi.density[lam] for lam in lam_list])
+    coeffs = h @ e_mat.T * lam_cell
+    contribs = np.sum(np.abs(coeffs) ** 2, axis=-1)
 
     energy = 0.0
     shell_energy: dict[int, float] = {}
-    for k_vec, n_vec in trunc.gamma_range():
-        h = np.empty(len(nodes), dtype=complex)
-        for li in range(len(nodes)):
-            wn = _shift_with_zeros(win[li], x_grid.shift_steps(n_vec, params.b))
-            if not wn.any():
-                h[li] = 0.0
-                continue
-            if any(k != 0 for k in k_vec):
-                freq = mods[li] @ np.array([float(k) for k in k_vec])
-                phase = np.zeros_like(mesh[0])
-                for axis in range(len(freq)):
-                    phase = phase + mesh[axis] * freq[axis]
-                wn = wn * np.exp(2j * np.pi * phase)
-            h[li] = np.sum(test_vals[li] * np.conj(wn)) * xcell
-        h *= dens_arr
-        coeffs = e_mat @ h * lam_cell
-        contrib = float(np.sum(np.abs(coeffs) ** 2))
+    # contribs[k, n] ravels in the (k outer, n inner) order of gamma_range
+    for (k_vec, n_vec), contrib in zip(trunc.gamma_range(), contribs.ravel()):
+        contrib = float(contrib)
         energy += contrib
         shell = max([abs(x) for x in k_vec] + [abs(x) for x in n_vec] + [0])
         shell_energy[shell] = shell_energy.get(shell, 0.0) + contrib
@@ -519,23 +527,26 @@ def window_tiling_check(
         d = window.d
         shape_inv = mat_inv([list(r) for r in window.shape])
         trans = [list(r) for r in lattice.translation]
-        coords = [mat_vec(shape_inv, off) for off in window.offsets]
-
         dual = mat_inv(mat_transpose([list(r) for r in lattice.modulation]))
         dual_inv = mat_inv(dual)
         trans_inv = mat_inv(trans)
 
-        def member_counts(x, step_matrix, step_matrix_inv):
-            """Number of integer step translates m with x - step m inside the support."""
-            count = 0
-            # candidate radius: the piece cell expressed in step units
+        def step_radius(step_matrix_inv):
+            """Candidate radius: the piece cell expressed in step units."""
             cell_in_steps = [
                 mat_vec(step_matrix_inv, [window.shape[i][j] for i in range(d)])
                 for j in range(d)
             ]
-            radius = 1 + max(
+            return 1 + max(
                 int(sum(abs(cell_in_steps[j][i]) for j in range(d))) for i in range(d)
             )
+
+        trans_radius = step_radius(trans_inv)
+        dual_radius = step_radius(dual_inv)
+
+        def member_counts(x, step_matrix, step_matrix_inv, radius):
+            """Number of integer step translates m with x - step m inside the support."""
+            count = 0
             for off in window.offsets:
                 rel = mat_vec(step_matrix_inv, [xi - oi for xi, oi in zip(x, off)])
                 base = [v.numerator // v.denominator for v in rel]
@@ -553,13 +564,13 @@ def window_tiling_check(
         for idx in product(range(resolution), repeat=d):
             frac = [Fraction(2 * i + 1, 2 * resolution) for i in idx]
             x_tile = mat_vec(trans, frac)
-            tiling = member_counts(x_tile, trans, trans_inv)
+            tiling = member_counts(x_tile, trans, trans_inv, trans_radius)
             dev = abs(tiling - 1)
             if dev > max_dev:
                 max_dev = dev
                 worst = ("tiling", lattice.lam, tuple(x_tile), tiling)
             x_pack = mat_vec(dual, frac)
-            packing = member_counts(x_pack, dual, dual_inv)
+            packing = member_counts(x_pack, dual, dual_inv, dual_radius)
             if packing > max_pack:
                 max_pack = packing
                 if packing > 1:

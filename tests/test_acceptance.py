@@ -215,13 +215,13 @@ def test_criterion_4_pfaffian_identity():
         for doc in (HEISENBERG_DOC, EXAMPLE2_DOC, EXAMPLE3_DOC):
             spec = load_spec(doc)
             mats = build_matrices(spec)
-            assert pfaffian_identity_check(mats.jump_block, mats.modulation).passed
+            assert pfaffian_identity_check(mats.jump_block, mats.det_b).passed
         rng = random.Random(20260809)
         for _ in range(50):
             spec = random_valid_spec(rng)
             assert validate_class(spec).passed
             mats = build_matrices(spec)
-            report = pfaffian_identity_check(mats.jump_block, mats.modulation)
+            report = pfaffian_identity_check(mats.jump_block, mats.det_b)
             assert report.passed, f"failed for brackets {dict(spec.brackets)}"
 
 

@@ -125,6 +125,34 @@ class TestRunCommand:
         assert code == EXIT_PASS
         assert len(calls) == 1
 
+    def test_design_certifies_sup_once_and_reuses_det_b(self, monkeypatch):
+        # a designed lattice reuses the sup certified by analyze, and the
+        # Pfaffian check reuses the spec's det_b: one sup, and determinants
+        # only for det_b and the jump block
+        import nilframe.cli as cli
+        import nilframe.lattice as lattice
+        import nilframe.spectral as spectral
+
+        calls = {"sup_density": 0, "determinant": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(cli, "sup_density")
+        counting(lattice, "sup_density")
+        counting(spectral, "determinant")
+        config = parse_config(desk_config_doc(lattice={}))
+        report, code = run_command("design", config)
+        assert code == EXIT_PASS
+        assert report["design"]["params"]["b"] == ["1"]
+        assert calls == {"sup_density": 1, "determinant": 2}
+
     def test_synthesize_writes_field_document(self, tmp_path):
         config = parse_config(desk_config_doc())
         out = tmp_path / "field.json"

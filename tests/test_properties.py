@@ -68,7 +68,7 @@ def test_pfaffian_identity_on_fifty_random_specs():
         spec = random_valid_spec(rng)
         assert validate_class(spec).passed
         mats = build_matrices(spec)
-        report = pfaffian_identity_check(mats.jump_block, mats.modulation)
+        report = pfaffian_identity_check(mats.jump_block, mats.det_b)
         assert report.passed, f"pfaffian identity failed for {spec.brackets}"
 
 

@@ -78,7 +78,7 @@ class TestPfaffian:
     def test_examples_pass(self, heisenberg, example2, example3):
         for spec in (heisenberg, example2, example3):
             mats = build_matrices(spec)
-            rep = pfaffian_identity_check(mats.jump_block, mats.modulation)
+            rep = pfaffian_identity_check(mats.jump_block, mats.det_b)
             assert rep.passed and rep.witness.is_zero()
 
     def test_heisenberg_values(self, heisenberg):
@@ -90,7 +90,7 @@ class TestPfaffian:
         mats = build_matrices(example2)
         corrupted = [list(row) for row in mats.jump_block]
         corrupted[0][2] = corrupted[0][2] + 1  # break the coupling block
-        rep = pfaffian_identity_check(corrupted, mats.modulation)
+        rep = pfaffian_identity_check(corrupted, mats.det_b)
         assert not rep.passed
         assert not rep.witness.is_zero()
 
@@ -99,7 +99,7 @@ class TestPfaffian:
         for _ in range(15):
             spec = random_valid_spec(rng)
             mats = build_matrices(spec)
-            assert pfaffian_identity_check(mats.jump_block, mats.modulation).passed
+            assert pfaffian_identity_check(mats.jump_block, mats.det_b).passed
 
 
 class TestEvalDensity:

@@ -13,6 +13,9 @@ from nilframe.spectral import SpectrumBox
 from nilframe.verify import (
     BandlimitedField,
     TruncationSpec,
+    _modulated_pairings,
+    _phase_tables,
+    _shift_with_zeros,
     apply_fiber_rep,
     fiber_parseval_defect,
     frame_energy_ratio,
@@ -67,6 +70,102 @@ def heisenberg_module():
     return load_spec(HEISENBERG_DOC, label="heisenberg")
 
 
+def full_mesh_pairings(modulation, k_vecs, x_grid, prod):
+    """Reference k-sum: one exponential over the whole mesh for every k."""
+    mod = np.array(modulation, dtype=float)
+    mesh = x_grid.mesh()
+    out = []
+    for k_vec in k_vecs:
+        freq = mod @ np.array([float(k) for k in k_vec])
+        phase = np.zeros_like(mesh[0])
+        for axis in range(len(freq)):
+            phase = phase + mesh[axis] * freq[axis]
+        out.append(np.sum(prod * np.exp(-2j * np.pi * phase)))
+    return np.array(out)
+
+
+def assert_kernel_matches_full_mesh(modulation, k_vecs, grid, prod):
+    got = _modulated_pairings(_phase_tables(modulation, k_vecs, grid.axes()), prod)
+    ref = full_mesh_pairings(modulation, k_vecs, grid, prod)
+    assert got.shape == (len(k_vecs),)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestModulatedPairings:
+    def test_d1_heisenberg_matches_full_mesh(self, heisenberg_module):
+        node = make_node(heisenberg_module, desk_params(), (F(1, 2),))
+        grid = desk_grid()
+        x = grid.axes()[0]
+        w = node.window.sample_grid([x]) * node.window.scale * node.normalization
+        test = np.exp(-((x - 0.5) ** 2) / (2 * 0.08**2)).astype(complex)
+        prod = test * np.conj(_shift_with_zeros(w, grid.shift_steps((1,), desk_params().b)))
+        k_vecs = [(k,) for k in range(-16, 17)]
+        assert_kernel_matches_full_mesh(node.lattice.modulation, k_vecs, grid, prod)
+
+    def test_d2_example2_nondiagonal_matches_full_mesh(self, example2):
+        params = QuasiLatticeParams(a=(F(2), F(3)), q=(F(1), F(1)), b=(F(3), F(3)))
+        node = make_node(example2, params, (F(1, 2), F(23, 8)))
+        mod = node.lattice.modulation
+        assert mod[0][1] != 0 and mod[1][0] != 0
+        grid = make_aligned_grid((F(3), F(3)), [1, 1], [2, 2], [16, 16])
+        w = node.window.sample_grid(grid.axes()) * node.window.scale * node.normalization
+        profile = gaussian_profile([1 / 6, 1 / 4], [0.05, 0.07])
+        test = np.asarray(profile(grid.mesh()), dtype=complex)
+        prod = test * np.conj(_shift_with_zeros(w, grid.shift_steps((0, -1), params.b)))
+        assert prod.any()
+        k_vecs = [(k1, k2) for k1 in range(-3, 4) for k2 in range(-3, 4)]
+        assert_kernel_matches_full_mesh(mod, k_vecs, grid, prod)
+
+    def test_d3_random_matches_full_mesh(self):
+        rng = np.random.default_rng(20261018)
+        grid = make_aligned_grid((F(2), F(3), F(5, 2)), [1, 1, 1], [1, 1, 1], [5, 4, 6])
+        prod = rng.standard_normal(grid.counts) + 1j * rng.standard_normal(grid.counts)
+        mod = [
+            [F(int(rng.integers(-9, 10)), int(rng.integers(1, 7))) for _ in range(3)]
+            for _ in range(3)
+        ]
+        k_vecs = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)]
+        assert_kernel_matches_full_mesh(mod, k_vecs, grid, prod)
+
+
+class TestGoldenOracle:
+    """Values of the full-mesh oracle on the desk heisenberg field, pinned."""
+
+    def test_frame_energy_ratio(self, heisenberg_module, desk_field, psi):
+        cases = [
+            ((8, 6), (0.9695982963142822, 0.014072902114288365, 0.03353263966764649)),
+            ((32, 16), (0.9999889048654778, 0.014513996184853856, 1.1784265467066311e-05)),
+        ]
+        for (m_half, kn_half), (ratio, energy, tail) in cases:
+            trunc = TruncationSpec(m_half=(m_half,), k_half=(kn_half,), n_half=(kn_half,))
+            rep = frame_energy_ratio(psi, desk_field, heisenberg_module, desk_params(), trunc)
+            assert rep.ratio == pytest.approx(ratio, rel=1e-12)
+            assert rep.energy == pytest.approx(energy, rel=1e-12)
+            assert rep.tail_fraction == pytest.approx(tail, rel=1e-12)
+
+    def test_fiber_parseval_defect(self, heisenberg_module, desk_field):
+        node = desk_field.nodes[8]
+        assert node.lam == (F(17, 32),)
+        grid = desk_grid()
+        x = grid.axes()[0]
+        tests = [
+            np.exp(-((x - c) ** 2) / (2 * w**2)).astype(complex)
+            for c, w in ((0.5, 0.08), (0.3, 0.05))
+        ]
+        t4 = TruncationSpec(m_half=(0,), k_half=(4,), n_half=(4,))
+        rep = fiber_parseval_defect(heisenberg_module, desk_params(), node, tests, t4, grid)
+        assert rep.defect == pytest.approx(0.2870556592943079, rel=1e-12)
+        assert rep.energy_ratios == pytest.approx(
+            (0.9126588070415129, 0.7129443407056921), rel=1e-12
+        )
+        # near one the defect is a difference of nearly equal numbers: its
+        # energy ratio is pinned relatively, the defect to a few ulps of one
+        t16 = TruncationSpec(m_half=(0,), k_half=(16,), n_half=(16,))
+        rep = fiber_parseval_defect(heisenberg_module, desk_params(), node, tests[:1], t16, grid)
+        assert rep.energy_ratios[0] == pytest.approx(0.9999999996318624, rel=1e-12)
+        assert rep.defect == pytest.approx(3.6813763149012857e-10, abs=1e-15)
+
+
 class TestApplyFiberRep:
     def test_identity_element(self, heisenberg_module):
         grid = desk_grid()
@@ -97,6 +196,18 @@ class TestApplyFiberRep:
         out = apply_fiber_rep(heisenberg_module, desk_params(), (lam,), ((1,), (0,)), f, grid)
         expected = np.exp(-2j * np.pi * float(lam) * x)
         assert np.allclose(out, expected)
+
+    def test_d2_modulation_matches_full_mesh_phase(self, example2):
+        params = QuasiLatticeParams(a=(F(2), F(3)), q=(F(1), F(1)), b=(F(3), F(3)))
+        lam = (F(1, 2), F(23, 8))
+        grid = make_aligned_grid((F(3), F(3)), [1, 1], [2, 2], [16, 16])
+        mesh = grid.mesh()
+        f = np.ones(grid.counts, dtype=complex)
+        out = apply_fiber_rep(example2, params, lam, ((1, -2), (0, 0)), f, grid)
+        node = make_node(example2, params, lam)
+        freq = np.array(node.lattice.modulation, dtype=float) @ np.array([1.0, -2.0])
+        expected = np.exp(2j * np.pi * (mesh[0] * freq[0] + mesh[1] * freq[1]))
+        assert np.max(np.abs(out - expected)) <= 1e-12
 
 
 class TestFiberParsevalDefect:
