@@ -264,18 +264,18 @@ def apply_fiber_rep(
 
 
 def _shift_with_zeros(arr: np.ndarray, steps: tuple[int, ...]) -> np.ndarray:
-    out = arr
-    for axis, s in enumerate(steps):
-        if s == 0:
-            continue
-        out = np.roll(out, s, axis=axis)
-        idx = [slice(None)] * out.ndim
-        if s > 0:
-            idx[axis] = slice(0, s)
-        else:
-            idx[axis] = slice(s, None)
-        out = out.copy()
-        out[tuple(idx)] = 0.0
+    """arr translated by whole grid steps per axis, as a new array; samples
+    shifted in from outside the grid are zero.  One slice copy into a zero
+    array; a step of at least the axis length leaves only zeros."""
+    out = np.zeros_like(arr)
+    src = []
+    dst = []
+    for s, n in zip(steps, arr.shape):
+        if abs(s) >= n:
+            return out
+        src.append(slice(0, n - s) if s >= 0 else slice(-s, n))
+        dst.append(slice(s, n) if s >= 0 else slice(0, n + s))
+    out[tuple(dst)] = arr[tuple(src)]
     return out
 
 

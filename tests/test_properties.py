@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilframe.algebra import basis_vector, bracket, validate_class
+from nilframe.algebra import basis_vector, bracket, load_spec, validate_class
 from nilframe.lattice import (
     QuasiLatticeParams,
     check_density_condition,
@@ -21,10 +21,11 @@ from nilframe.spectral import (
     density_polynomial,
     eval_density,
     pfaffian_identity_check,
+    spectral_measure,
     sup_density,
 )
 
-from conftest import random_valid_spec
+from conftest import EXAMPLE2_DOC, EXAMPLE3_DOC, random_valid_spec
 
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=8
@@ -110,6 +111,24 @@ def test_sup_dominates_point_evaluations(seed):
     for _ in range(20):
         pt = tuple(Fraction(rng.randint(0, 16), 8) for _ in range(spec.center_dim))
         assert eval_density(det_b, pt) <= res.upper
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_plain_measure_brackets_closed_forms_on_scaled_boxes(seed):
+    # example2 on [0, 2s] x [0, 3s] integrates |l1^2 - l2^2| to 46/3 s^4,
+    # example3 on [0, t]^3 its cubic to 3/8 t^6
+    rng = random.Random(seed)
+    s, t = (Fraction(rng.randint(4, 24), rng.randint(4, 16)) for _ in range(2))
+    cases = [
+        (EXAMPLE2_DOC, (2 * s, 3 * s), Fraction(46, 3) * s**4, 1e-5 * float(s) ** 4),
+        (EXAMPLE3_DOC, (t, t, t), Fraction(3, 8) * t**6, 2e-2 * float(t) ** 6),
+    ]
+    for doc, a, exact, tol in cases:
+        det_b = density_polynomial(load_spec(doc))
+        res = spectral_measure(det_b, SpectrumBox(a=a), tol=tol)
+        assert res.lower <= exact <= res.upper
+        assert res.certificate.converged and float(res.width) <= tol
 
 
 def test_density_verdict_monotone_under_parameter_growth():

@@ -1,5 +1,7 @@
 """Spectral matrices, determinant values, certified sup and measure."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +11,8 @@ from nilframe.errors import CertificationError
 from nilframe.polynomial import SpectralPolynomial, determinant
 from nilframe.spectral import (
     SpectrumBox,
+    _abs_linear_integral,
+    _ScaledPoly,
     block_structure_holds,
     build_matrices,
     density_polynomial,
@@ -221,6 +225,24 @@ class TestSpectralMeasure:
         w = spectral_measure(det_b, SpectrumBox(a=(Fraction(2), Fraction(3))), tol=1e-7)
         assert s.upper <= w.upper
 
+    @pytest.mark.parametrize(
+        "terms, a, exact",
+        [
+            ({(1, 0): 1, (0, 1): -1}, (1, 1), Fraction(1, 3)),
+            ({(1,): 1, (0,): -1}, (3,), Fraction(5, 2)),
+            ({(1, 0, 0): 2, (0, 0, 1): -1, (0, 0, 0): Fraction(1, 3)}, (1, 2, 1), Fraction(143, 81)),
+        ],
+    )
+    def test_linear_density_closes_without_refinement(self, terms, a, exact):
+        # the linear model is exact, so the only width left is the rounding
+        # onto the dyadic grid, which must stay far below tol even at depth 0
+        p = poly(len(a), terms)
+        tol = 1e-4
+        res = spectral_measure(p, SpectrumBox(a=tuple(Fraction(x) for x in a)), tol=tol)
+        assert res.lower <= exact <= res.upper
+        assert res.certificate.boxes == 0
+        assert res.width <= Fraction(tol) / 2**28
+
     def test_sublevel_example3(self, example3):
         det_b = density_polynomial(example3)
         box = SpectrumBox(a=(Fraction(1), Fraction(1), Fraction(1)))
@@ -242,6 +264,107 @@ class TestSpectralMeasure:
         assert sub.upper <= plain.upper + Fraction(1, 1000)
 
 
+def abs_integral(q0, q, half):
+    num, den = _abs_linear_integral(q0, q, half)
+    assert den > 0
+    return Fraction(num) / den
+
+
+def random_rational(rng, lo, hi, den=12):
+    return Fraction(rng.randint(lo * den, hi * den), rng.randint(1, den))
+
+
+def random_linear_data(rng, d):
+    """Random rational (q0, q, half) with some q_i = 0 and half_i > 0."""
+    q = [random_rational(rng, -5, 5) if rng.random() < 0.75 else Fraction(0) for _ in range(d)]
+    half = [random_rational(rng, 1, 4) for _ in range(d)]
+    return random_rational(rng, -6, 6), q, half
+
+
+class TestAbsLinearIntegral:
+    """The vertex formula for the integral of |q0 + q.v| over [-half, half]."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_signed_equals_abs_of_integral(self, d):
+        rng = random.Random(100 + d)
+        for _ in range(40):
+            _, q, half = random_linear_data(rng, d)
+            reach = sum(abs(a) * w for a, w in zip(q, half))
+            q0 = rng.choice([-1, 1]) * (reach + random_rational(rng, 0, 3))
+            vol = math.prod(2 * w for w in half)
+            assert abs_integral(q0, q, half) == abs(q0) * vol
+
+    def test_d1_closed_form(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            q0, (a,), (w,) = random_linear_data(rng, 1)
+            if abs(q0) >= abs(a) * w:
+                expected = 2 * w * abs(q0)
+            else:
+                expected = ((q0 + a * w) ** 2 + (q0 - a * w) ** 2) / (2 * abs(a))
+            assert abs_integral(q0, [a], [w]) == expected
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_axis_integrates_out(self, d):
+        rng = random.Random(200 + d)
+        for _ in range(40):
+            q0, q, half = random_linear_data(rng, d - 1)
+            w = random_rational(rng, 1, 4)
+            axis = rng.randint(0, d - 1)
+            q_full = q[:axis] + [Fraction(0)] + q[axis:]
+            half_full = half[:axis] + [w] + half[axis:]
+            assert abs_integral(q0, q_full, half_full) == 2 * w * abs_integral(q0, q, half)
+
+    @pytest.mark.parametrize("d, n", [(2, 200), (3, 40)])
+    def test_matches_midpoint_quadrature(self, d, n):
+        rng = random.Random(300 + d)
+        for _ in range(5):
+            q0, q, half = random_linear_data(rng, d)
+            cell = math.prod(2 * float(w) / n for w in half)
+            grids = [[float(w) * (2 * (i + 0.5) / n - 1) for i in range(n)] for w in half]
+            quad = sum(
+                abs(float(q0) + sum(float(a) * x for a, x in zip(q, pt)))
+                for pt in itertools.product(*grids)
+            ) * cell
+            exact = float(abs_integral(q0, q, half))
+            assert abs(quad - exact) <= 1e-3 * exact
+
+
+class TestLinearModelRemainder:
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_remainder_bounds_the_model_error_at_dyadic_points(self, nvars):
+        rng = random.Random(400 + nvars)
+        monos = [m for m in itertools.product(range(4), repeat=nvars) if sum(m) <= 3]
+        for _ in range(15):
+            p = poly(nvars, {m: random_rational(rng, -4, 4) for m in rng.sample(monos, min(5, len(monos)))})
+            lo = [random_rational(rng, 0, 3) for _ in range(nvars)]
+            hi = [x + random_rational(rng, 1, 2) for x in lo]
+            scaled = _ScaledPoly(p, lo, hi)
+            D = scaled.deg_total
+            k = rng.randint(0, 5)
+            lo_num = tuple(rng.randint(0, (1 << k) - 1) for _ in range(nvars))
+            hi_num = tuple(x + rng.randint(1, (1 << k) - x) for x in lo_num)
+            q0, q = scaled.linear_model(lo_num, hi_num, k)
+            rho = scaled.remainder_num(lo_num, hi_num, k)
+            j = rng.randint(0, 4)
+            center = [(l + h) << j for l, h in zip(lo_num, hi_num)]
+            # dyadic points at depth k+1+j, the corners among them; P is over
+            # den * 2**((k+1+j)*D)
+            ends = [(l << (j + 1), h << (j + 1)) for l, h in zip(lo_num, hi_num)]
+            points = list(itertools.product(*ends))
+            points += [[rng.randint(a, b) for a, b in ends] for _ in range(20)]
+            for x in points:
+                p_num = scaled.value_num(x, k + 1 + j)
+                l_num = (q0 << (j * D)) + sum(
+                    a * (xi - c) << (j * (D - 1)) for a, xi, c in zip(q, x, center)
+                )
+                assert abs(p_num - l_num) <= rho << (j * D)
+
+    def test_remainder_vanishes_for_linear_p(self):
+        scaled = _ScaledPoly(poly(2, {(1, 0): 3, (0, 1): -2, (0, 0): 1}), [0, 0], [1, 1])
+        assert scaled.remainder_num((1, 2), (3, 3), 2) == 0
+
+
 class TestGoldenCertificates:
     """Exact brackets pinned bit for bit: a change to the certified arithmetic
     must return the same rationals, box counts and depths."""
@@ -250,9 +373,16 @@ class TestGoldenCertificates:
         det_b = density_polynomial(example2)
         res = spectral_measure(det_b, SpectrumBox(a=(Fraction(2), Fraction(3))), tol=1e-6)
         out = res.as_dict()
-        assert out["lower"] == "2157974811528607/140737488355328"
-        assert out["upper"] == "69055197289004671/4503599627370496"
-        assert (out["boxes"], out["depth"], out["converged"]) == (23036, 27, True)
+        assert out["lower"] == "579276944151015544576373/37778931862957161709568"
+        assert out["upper"] == "72409620822169072527087/4722366482869645213696"
+        assert (out["boxes"], out["depth"], out["converged"]) == (1625, 18, True)
+        # the second-order bracket: never wider than the first-order golden
+        # (23036 boxes, depth 27) it replaced, and still around 46/3
+        first_order = Fraction(69055197289004671, 4503599627370496) - Fraction(
+            2157974811528607, 140737488355328
+        )
+        assert res.width <= first_order
+        assert res.lower <= Fraction(46, 3) <= res.upper
 
     def test_example2_sublevel_two_regions(self, example2):
         # threshold.denominator != 1 and two regions summed into one bracket

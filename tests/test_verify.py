@@ -128,6 +128,49 @@ class TestModulatedPairings:
         assert_kernel_matches_full_mesh(mod, k_vecs, grid, prod)
 
 
+def rolled_reference(arr, steps):
+    """Translate by np.roll per axis, then zero what wrapped around."""
+    out = arr
+    for axis, s in enumerate(steps):
+        if s == 0:
+            continue
+        out = np.roll(out, s, axis=axis)
+        idx = [slice(None)] * out.ndim
+        idx[axis] = slice(0, s) if s > 0 else slice(s, None)
+        out = out.copy()
+        out[tuple(idx)] = 0.0
+    return out
+
+
+class TestShiftWithZeros:
+    @pytest.mark.parametrize("shape", [(7,), (5, 6), (4, 3, 5)])
+    def test_bit_identical_to_rolled_reference(self, shape):
+        rng = np.random.default_rng(len(shape))
+        arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        arr.flat[0] = -0.0
+        n_max = max(shape)
+        choices = [0, 1, -1, 2, -3, n_max - 1, -(n_max - 1), n_max, -n_max, n_max + 4, -(n_max + 4)]
+        for _ in range(60):
+            steps = tuple(int(rng.choice(choices)) for _ in shape)
+            got = _shift_with_zeros(arr, steps)
+            ref = rolled_reference(arr, steps)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), steps
+
+    def test_off_grid_translate_is_all_zero(self):
+        arr = np.ones((4, 5))
+        for steps in [(4, 0), (0, -5), (-9, 2)]:
+            out = _shift_with_zeros(arr, steps)
+            assert out.shape == arr.shape and not out.any()
+
+    def test_returns_a_new_array(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        out = _shift_with_zeros(arr, (0, 0))
+        assert np.array_equal(out, arr) and out is not arr
+        out[0, 0] = 99.0
+        assert arr[0, 0] == 0.0
+
+
 class TestGoldenOracle:
     """Values of the full-mesh oracle on the desk heisenberg field, pinned."""
 
