@@ -36,9 +36,9 @@ box = SpectrumBox(a=(Fraction(1),))
 field = build_generator_field(spec, params, box, grid_shape=[16], role="frame")
 grid = make_aligned_grid((Fraction(1),), [2], [3], [52])
 
-# tiling / packing re-check, independent of the construction
-tiling = window_tiling_check([(n.window, n.lattice) for n in field.nodes], resolution=9)
-print(f"tiling re-check over {tiling.checked_nodes} fibers: "
+# exact tiling / packing certificate, independent of the construction
+tiling = window_tiling_check([(n.window, n.lattice) for n in field.nodes])
+print(f"tiling certificate over {tiling.checked_nodes} fibers: "
       f"max deviation {tiling.max_tiling_deviation}, "
       f"max packing count {tiling.max_packing_count}")
 

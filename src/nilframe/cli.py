@@ -189,10 +189,7 @@ def _stage_verify(
     x_grid = make_aligned_grid(params.b, before, after, ppc)
     trunc = _default_trunc(config)
 
-    tiling = window_tiling_check(
-        [(n.window, n.lattice) for n in field.nodes[: min(len(field.nodes), 8)]],
-        resolution=7 if d == 1 else 3,
-    )
+    tiling = window_tiling_check([(n.window, n.lattice) for n in field.nodes])
 
     # per-fiber defects with a Gaussian concentrated in the base cell; only
     # fibers in the top-density half are probed, since the truncated

@@ -2,7 +2,9 @@
 
 This is the package's one exact rational linear-algebra module: products,
 determinants and inverses of Fraction matrices for the algebra checks, the
-fiber lattices, the window synthesis and the verifier.  Everything here is a
+fiber lattices, the window synthesis and the verifier.  Window synthesis and
+the verifier's tiling certificate also share its integer residues modulo a
+Hermite basis and its packing test for a single cell.  Everything here is a
 list of lists of Fractions (or ints for HNF), sized d <= 3 in practice.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
@@ -131,5 +134,25 @@ def integer_matrix(m: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def frac_vector(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(x - (x.numerator // x.denominator) for x in v)
+def residue(v: Sequence[int], h: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Representative of the integer vector v modulo the lattice spanned by the
+    columns of h, lower triangular as from hnf_columns: the one with
+    0 <= v_i < h_ii.  Two vectors are congruent iff their residues are equal."""
+    r = list(v)
+    for j in range(len(r)):
+        q = r[j] // h[j][j]
+        if q:
+            for i in range(j, len(r)):
+                r[i] -= q * h[i][j]
+    return tuple(r)
+
+
+def cell_packs(g: Sequence[Sequence[Fraction]]) -> bool:
+    """Does G [0,1)^d pack modulo Z^d?  True iff no nonzero integer vector
+    lies in the open difference body G (-1,1)^d."""
+    ginv = mat_inv(g)
+    bounds = [int(sum(abs(x) for x in row)) for row in g]
+    for m in product(*[range(-b, b + 1) for b in bounds]):
+        if any(m) and all(abs(t) < 1 for t in mat_vec(ginv, m)):
+            return False
+    return True

@@ -43,10 +43,6 @@ class SpectralPolynomial:
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "SpectralPolynomial":
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars: int, value) -> "SpectralPolynomial":
         c = Fraction(value)
         if c == 0:

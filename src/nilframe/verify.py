@@ -19,6 +19,7 @@ reported, never hidden.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -28,8 +29,18 @@ import numpy as np
 
 from .algebra import LieAlgebraSpec
 from .errors import MisalignedGridError, SchemaError
-from .intlattice import mat_det, mat_inv, mat_transpose, mat_vec
-from .lattice import QuasiLatticeParams, fiber_lattice
+from .intlattice import (
+    cell_packs,
+    hnf_columns,
+    integer_matrix,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    mat_transpose,
+    mat_vec,
+    residue,
+)
+from .lattice import FiberGaborLattice, QuasiLatticeParams, fiber_lattice
 from .spectral import SpectrumBox, density_polynomial
 from .windows import FieldNode, FrameGeneratorField, PiecewiseBoxWindow
 
@@ -478,7 +489,7 @@ def frame_energy_ratio(
 
 
 # ---------------------------------------------------------------------------
-# tiling / packing re-check
+# tiling / packing certificate
 # ---------------------------------------------------------------------------
 
 
@@ -503,85 +514,69 @@ def window_tiling_check(
     windows: Sequence[tuple[PiecewiseBoxWindow, FiberGaborLattice]],
     resolution: int = 7,
 ) -> TilingReport:
-    """Exact covering counts on rational validation grids.
+    """Exact tiling and packing certificate in piece-cell coordinates.
 
-    Tiling: over one translation cell, each point must be covered by exactly
-    one lattice translate of the window support.  Packing: no point may be
-    covered by two different dual-modulation translates.  The measure
-    identities (support measure = translation covolume <= dual covolume) are
-    checked first; they catch deleted or duplicated pieces that a finite grid
-    can miss between sample points.
+    With P the shape the pieces share, t = P^{-1} x turns every piece into the
+    unit cube at V = P^{-1} offset, the translations into A = P^{-1} T and the
+    dual modulations into D = P^{-1} C^{-tr}.  A window whose A and V are
+    integer tiles iff V is a complete residue system modulo A Z^d; each class
+    of A Z^d counts its pieces, and an uncovered class deviates by one.  It
+    packs iff the residues of V modulo D Z^d are distinct when D is integer,
+    or, for a single piece, iff the open cube (-1,1)^d holds no nonzero dual
+    vector.  Identical pieces never pack.  Any other window is reported as
+    uncertifiable and fails.  Only the window and the lattice are read; the
+    synthesizer is never called.  ``resolution`` is ignored.
     """
-    worst = ()
+    worst: tuple = ()
     max_dev = 0
     max_pack = 0
+    certified = True
     for window, lattice in windows:
-        trans_covol = abs(mat_det([list(r) for r in lattice.translation]))
-        dual_covol = Fraction(1) / abs(mat_det([list(r) for r in lattice.modulation]))
-        if window.total_measure != trans_covol:
-            max_dev = max(max_dev, 1)
-            worst = ("tiling_measure", lattice.lam, float(window.total_measure), float(trans_covol))
-        if window.total_measure > dual_covol:
-            max_pack = max(max_pack, 2)
-            worst = ("packing_measure", lattice.lam, float(window.total_measure), float(dual_covol))
-        d = window.d
-        shape_inv = mat_inv([list(r) for r in window.shape])
-        trans = [list(r) for r in lattice.translation]
-        dual = mat_inv(mat_transpose([list(r) for r in lattice.modulation]))
-        dual_inv = mat_inv(dual)
-        trans_inv = mat_inv(trans)
+        shape_inv = mat_inv(window.shape)
+        trans = _as_integer(mat_mul(shape_inv, lattice.translation))
+        cubes = _as_integer([mat_vec(shape_inv, off) for off in window.offsets])
+        if trans is None or cubes is None:
+            certified = False
+            worst = ("uncertifiable", lattice.lam, "translations or pieces off the piece grid")
+            continue
+        h = hnf_columns(trans)
+        counts = Counter(residue(v, h) for v in cubes)
+        uncovered = len(counts) < abs(mat_det(trans))
+        dev = max([abs(c - 1) for c in counts.values()] + [int(uncovered)])
+        if dev:
+            worst = ("tiling", lattice.lam, dev)
+        max_dev = max(max_dev, dev)
 
-        def step_radius(step_matrix_inv):
-            """Candidate radius: the piece cell expressed in step units."""
-            cell_in_steps = [
-                mat_vec(step_matrix_inv, [window.shape[i][j] for i in range(d)])
-                for j in range(d)
-            ]
-            return 1 + max(
-                int(sum(abs(cell_in_steps[j][i]) for j in range(d))) for i in range(d)
-            )
-
-        trans_radius = step_radius(trans_inv)
-        dual_radius = step_radius(dual_inv)
-
-        def member_counts(x, step_matrix, step_matrix_inv, radius):
-            """Number of integer step translates m with x - step m inside the support."""
-            count = 0
-            for off in window.offsets:
-                rel = mat_vec(step_matrix_inv, [xi - oi for xi, oi in zip(x, off)])
-                base = [v.numerator // v.denominator for v in rel]
-                for delta in product(range(-radius, radius + 1), repeat=d):
-                    m = [b + dd for b, dd in zip(base, delta)]
-                    y = [
-                        x[i] - sum(step_matrix[i][j] * m[j] for j in range(d))
-                        for i in range(d)
-                    ]
-                    t = mat_vec(shape_inv, [yi - oi for yi, oi in zip(y, off)])
-                    if all(0 <= ti < 1 for ti in t):
-                        count += 1
-            return count
-
-        for idx in product(range(resolution), repeat=d):
-            frac = [Fraction(2 * i + 1, 2 * resolution) for i in idx]
-            x_tile = mat_vec(trans, frac)
-            tiling = member_counts(x_tile, trans, trans_inv, trans_radius)
-            dev = abs(tiling - 1)
-            if dev > max_dev:
-                max_dev = dev
-                worst = ("tiling", lattice.lam, tuple(x_tile), tiling)
-            x_pack = mat_vec(dual, frac)
-            packing = member_counts(x_pack, dual, dual_inv, dual_radius)
-            if packing > max_pack:
-                max_pack = packing
-                if packing > 1:
-                    worst = ("packing", lattice.lam, tuple(x_pack), packing)
+        dual = mat_mul(shape_inv, mat_inv(mat_transpose(lattice.modulation)))
+        dual_int = _as_integer(dual)
+        if dual_int is not None:
+            h = hnf_columns(dual_int)
+            pack = max(Counter(residue(v, h) for v in cubes).values(), default=0)
+        elif len(set(map(tuple, cubes))) <= 1:
+            pack = len(cubes)
+            if cubes and not cell_packs(mat_inv(dual)):
+                pack = max(pack, 2)
+        else:
+            certified = False
+            worst = ("uncertifiable", lattice.lam, "distinct pieces off the dual lattice grid")
+            continue
+        if pack > 1:
+            worst = ("packing", lattice.lam, pack)
+        max_pack = max(max_pack, pack)
     return TilingReport(
-        passed=(max_dev == 0 and max_pack <= 1),
+        passed=(certified and max_dev == 0 and max_pack <= 1),
         max_tiling_deviation=max_dev,
         max_packing_count=max_pack,
         checked_nodes=len(windows),
         worst=worst,
     )
+
+
+def _as_integer(m) -> list[list[int]] | None:
+    try:
+        return integer_matrix(m)
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------

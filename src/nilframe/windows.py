@@ -9,12 +9,16 @@ lattice C^{-tr} Z^d, scaled by |det C|^(1/2).
 The set E is assembled exactly.  In sheared coordinates u = C^tr x the tiling
 lattice becomes G Z^d with G = C^tr T and the packing lattice becomes Z^d.
 When the plain cell G [0,1)^d already packs, it is used directly (one piece).
-Otherwise pieces are cut from the common refinement: with S the lattice
-generated by G Z^d and Z^d together, a fundamental cell of S is stacked at
-representatives chosen once per class of S modulo G Z^d, each adjusted by a
-G-translate so that no two land in the same class modulo Z^d.  The stack then
-tiles under G Z^d and packs modulo Z^d by construction, and both properties
-are re-checked independently by the frame verifier.
+Otherwise let W be a basis of the lattice S generated by G Z^d and Z^d
+together.  In W-coordinates v = W^{-1} u both lattices are integer, spanned by
+W^{-1} G and W^{-1}, and each piece is the unit cube at an integer point, a
+fundamental cell of S.  One piece is placed per class of S modulo G Z^d,
+moved by G-translates until its residue modulo W^{-1} Z^d is fresh, so the
+stack tiles under G Z^d and packs modulo Z^d by construction.  Only the
+finished pieces go back to x: they share the shape P = C^{-tr} W and sit at
+P v, so v is also the piece-cell coordinate P^{-1} x.  The frame verifier
+certifies tiling and packing again from the window and the lattice alone,
+with the same integer residues.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .errors import (
     SchemaError,
 )
 from .intlattice import (
-    frac_vector,
+    cell_packs,
     hnf_columns,
     integer_matrix,
     lattice_sum_basis,
@@ -44,6 +48,7 @@ from .intlattice import (
     mat_mul,
     mat_transpose,
     mat_vec,
+    residue,
 )
 from .lattice import FiberGaborLattice, QuasiLatticeParams, fiber_lattice
 from .rationals import format_rational
@@ -81,15 +86,6 @@ class PiecewiseBoxWindow:
     def norm_sq(self) -> float:
         return self.scale**2 * float(self.total_measure)
 
-    def contains(self, x: Sequence[Fraction]) -> bool:
-        """Exact membership for a rational point."""
-        inv = mat_inv([list(r) for r in self.shape])
-        for off in self.offsets:
-            t = mat_vec(inv, [Fraction(xi) - oi for xi, oi in zip(x, off)])
-            if all(0 <= ti < 1 for ti in t):
-                return True
-        return False
-
     def sample_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Float indicator values on a product grid; returns array shaped like the grid."""
         inv = np.array(
@@ -105,11 +101,11 @@ class PiecewiseBoxWindow:
         return out.reshape(mesh[0].shape).astype(float)
 
 
-def synthesize_window(
-    lattice: FiberGaborLattice,
-    piece_limit: int = 4096,
-    search_radius: int = 12,
-) -> PiecewiseBoxWindow:
+# how many shells of G-translates cut-and-stack searches for a fresh residue
+SEARCH_RADIUS = 12
+
+
+def synthesize_window(lattice: FiberGaborLattice, piece_limit: int = 4096) -> PiecewiseBoxWindow:
     """Painless Parseval window for one fiber; pieces and measure are exact.
 
     Raises DensityViolationError when the lattice volume exceeds one,
@@ -117,7 +113,6 @@ def synthesize_window(
     PieceOverflowError when the cut-and-stack would need more pieces than
     the budget allows (large parameter denominators).
     """
-    d = lattice.d
     if lattice.det_b == 0:
         raise DegenerateFiberError(f"modulation matrix is singular at lam={lattice.lam}")
     if lattice.volume > 1:
@@ -127,84 +122,61 @@ def synthesize_window(
     trans = [list(r) for r in lattice.translation]
     mod = [list(r) for r in lattice.modulation]
     scale = math.sqrt(abs(float(mat_det(mod))))
-    # sheared coordinates: tiling lattice G Z^d, packing lattice Z^d
+    # sheared coordinates u = C^tr x: tiling lattice G Z^d, packing lattice Z^d
     g = mat_mul(mat_transpose(mod), trans)
-    dual_to_x = mat_inv(mat_transpose(mod))  # maps u back to x
-
-    offsets_u, shape_u = _stack_pieces(g, piece_limit, search_radius)
-    shape_x = mat_mul(dual_to_x, shape_u)
-    offsets_x = [mat_vec(dual_to_x, off) for off in offsets_u]
+    offsets, basis = _stack_pieces(g, piece_limit)
+    shape = mat_mul(mat_inv(mat_transpose(mod)), basis)
     return PiecewiseBoxWindow(
         scale=scale,
-        shape=tuple(tuple(row) for row in shape_x),
-        offsets=tuple(tuple(off) for off in offsets_x),
+        shape=tuple(tuple(row) for row in shape),
+        offsets=tuple(tuple(mat_vec(shape, v)) for v in offsets),
     )
 
 
-def _cell_packs(g) -> bool:
-    """Does G [0,1)^d pack modulo Z^d?  True iff no nonzero integer vector
-    lies in the open difference body G (-1,1)^d."""
+def _stack_pieces(g, piece_limit: int):
+    """Integer piece offsets v and the cell basis (u coordinates) they refer to."""
     d = len(g)
-    ginv = mat_inv(g)
-    bounds = [int(sum(abs(x) for x in g[i])) for i in range(d)]
-    for m in product(*[range(-b, b + 1) for b in bounds]):
-        if all(v == 0 for v in m):
-            continue
-        t = mat_vec(ginv, [Fraction(v) for v in m])
-        if all(abs(ti) < 1 for ti in t):
-            return False
-    return True
-
-
-def _stack_pieces(g, piece_limit: int, search_radius: int):
-    """Offsets (in u coordinates) and shared shape matrix of the stacked cell."""
-    d = len(g)
-    if _cell_packs(g):
-        return [[Fraction(0)] * d], [list(row) for row in g]
+    if cell_packs(g):
+        return [[0] * d], g
 
     w = lattice_sum_basis(g)  # basis of S = G Z^d + Z^d
-    det_g = abs(mat_det(g))
-    cov_s = abs(mat_det(w))
-    class_count = det_g / cov_s
-    if class_count.denominator != 1:
-        raise AssertionError("superlattice index is not integral")
-    class_count = int(class_count)
-    if class_count > piece_limit:
-        raise PieceOverflowError(
-            f"stacking needs {class_count} pieces, over the budget of {piece_limit}"
-        )
-    # transversal of S / G Z^d through digits of the triangular form
+    # in v = W^-1 u the tiling lattice is t_mat Z^d, the packing lattice W^-1 Z^d
     t_mat = integer_matrix(mat_mul(mat_inv(w), g))
+    det_t = int(mat_det(t_mat))
+    if abs(det_t) > piece_limit:
+        raise PieceOverflowError(
+            f"stacking needs {abs(det_t)} pieces, over the budget of {piece_limit}"
+        )
+    adj_t = integer_matrix([[x * det_t for x in row] for row in mat_inv(t_mat)])
+    packing = hnf_columns(integer_matrix(mat_inv(w)))
     h = hnf_columns(t_mat)
-    diag = [h[i][i] for i in range(d)]
-    assert math.prod(diag) == class_count
-    ginv = mat_inv(g)
     used: set = set()
-    offsets: list[list[Fraction]] = []
-    for digits in product(*[range(di) for di in diag]):
-        point = mat_vec(w, [Fraction(x) for x in digits])
+    offsets: list[list[int]] = []
+    # transversal of S / G Z^d through digits of the triangular form
+    for digits in product(*[range(h[i][i]) for i in range(d)]):
         # bring the representative near the origin; its class mod G Z^d is unchanged
-        shift = [Fraction(v.numerator // v.denominator) for v in mat_vec(ginv, point)]
-        point = [point[i] - sum(g[i][j] * shift[j] for j in range(d)) for i in range(d)]
-        placed = False
-        for radius in range(search_radius + 1):
-            for m in product(range(-radius, radius + 1), repeat=d):
-                if max((abs(x) for x in m), default=0) != radius:
-                    continue
-                cand = [point[i] + sum(g[i][j] * m[j] for j in range(d)) for i in range(d)]
-                residue = frac_vector(cand)
-                if residue not in used:
-                    used.add(residue)
-                    offsets.append(cand)
-                    placed = True
-                    break
-            if placed:
+        shift = [sum(a * x for a, x in zip(row, digits)) // det_t for row in adj_t]
+        point = [x - sum(t * s for t, s in zip(row, shift)) for x, row in zip(digits, t_mat)]
+        for m in _shells(d):
+            cand = [p + sum(t * k for t, k in zip(row, m)) for p, row in zip(point, t_mat)]
+            key = residue(cand, packing)
+            if key not in used:
+                used.add(key)
+                offsets.append(cand)
                 break
-        if not placed:
+        else:
             raise PieceOverflowError(
-                f"no fresh residue found within search radius {search_radius}"
+                f"no fresh residue found within search radius {SEARCH_RADIUS}"
             )
     return offsets, w
+
+
+def _shells(d: int):
+    """Integer vectors by growing sup-norm radius, up to SEARCH_RADIUS."""
+    for radius in range(SEARCH_RADIUS + 1):
+        for m in product(range(-radius, radius + 1), repeat=d):
+            if max(map(abs, m)) == radius:
+                yield m
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """Cross-cutting invariants, randomized where that adds coverage."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from nilframe.algebra import basis_vector, bracket, load_spec, validate_class
+from nilframe.errors import PieceOverflowError
 from nilframe.lattice import (
     QuasiLatticeParams,
     check_density_condition,
@@ -24,6 +26,8 @@ from nilframe.spectral import (
     spectral_measure,
     sup_density,
 )
+from nilframe.verify import window_tiling_check
+from nilframe.windows import synthesize_window
 
 from conftest import EXAMPLE2_DOC, EXAMPLE3_DOC, random_valid_spec
 
@@ -168,3 +172,32 @@ def test_window_norm_equals_volume_across_random_fibers():
             continue
         assert abs(window.norm_sq - float(lat.volume)) <= 1e-9
         checked += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_synthesized_windows_certify_and_need_every_piece(seed):
+    rng = random.Random(seed)
+    spec = random_valid_spec(rng)
+
+    def rational():
+        return Fraction(rng.randint(1, 12), rng.randint(1, 4))
+
+    params = QuasiLatticeParams(
+        a=(Fraction(1),) * spec.center_dim,
+        q=tuple(rational() for _ in range(spec.d)),
+        b=tuple(rational() for _ in range(spec.d)),
+    )
+    lam = tuple(Fraction(rng.randint(-15, 15), rng.randint(1, 8)) for _ in range(spec.center_dim))
+    lat = fiber_lattice(spec, params, lam)
+    assume(lat.det_b != 0 and lat.volume <= 1)
+    try:
+        window = synthesize_window(lat, piece_limit=500)
+    except PieceOverflowError:
+        reject()
+    assert window_tiling_check([(window, lat)]).passed
+    if window.piece_count > 1:
+        for i in range(window.piece_count):
+            broken = replace(window, offsets=window.offsets[:i] + window.offsets[i + 1 :])
+            rep = window_tiling_check([(broken, lat)])
+            assert not rep.passed and rep.max_tiling_deviation == 1

@@ -421,6 +421,71 @@ class TestWindowTilingCheck:
         assert rep.max_packing_count >= 2
 
 
+class TestTilingCertificateMutations:
+    """One piece of the 28-piece example2 window at lam = (3/4, 11/4), moved."""
+
+    @pytest.fixture(scope="class")
+    def fiber(self):
+        from conftest import EXAMPLE2_DOC
+        from nilframe.algebra import load_spec
+        from nilframe.lattice import fiber_lattice
+
+        p = QuasiLatticeParams(a=(F(2), F(3)), q=(F(1), F(1)), b=(F(3), F(3)))
+        lat = fiber_lattice(load_spec(EXAMPLE2_DOC, label="example2"), p, (F(3, 4), F(11, 4)))
+        window = synthesize_window(lat)
+        assert window.piece_count == 28
+        return window, lat
+
+    @staticmethod
+    def moved(window, step):
+        first = tuple(o + s for o, s in zip(window.offsets[0], step))
+        return replace(window, offsets=(first,) + window.offsets[1:])
+
+    @staticmethod
+    def column(matrix, j):
+        return [row[j] for row in matrix]
+
+    def test_unmoved_window_certifies(self, fiber):
+        rep = window_tiling_check([fiber])
+        assert rep.passed and rep.max_tiling_deviation == 0 and rep.max_packing_count == 1
+
+    @pytest.mark.parametrize("cell_step", [(F(1, 2), F(0)), (F(0), F(1, 2)), (F(1, 3), F(2, 5))])
+    def test_off_grid_piece_is_uncertifiable(self, fiber, cell_step):
+        from nilframe.intlattice import mat_vec
+
+        window, lat = fiber
+        broken = self.moved(window, mat_vec(window.shape, cell_step))
+        # the verdict depends on no sampling resolution
+        for resolution in (3, 4, 7):
+            rep = window_tiling_check([(broken, lat)], resolution=resolution)
+            assert not rep.passed
+            assert rep.worst[0] == "uncertifiable"
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_dual_vector_shift_breaks_tiling(self, fiber, j):
+        from nilframe.intlattice import mat_inv, mat_transpose
+
+        window, lat = fiber
+        dual = mat_inv(mat_transpose(lat.modulation))
+        rep = window_tiling_check([(self.moved(window, self.column(dual, j)), lat)])
+        assert not rep.passed
+        assert rep.max_tiling_deviation == 1
+        assert rep.max_packing_count == 1
+
+    def test_translation_vector_shift_stays_valid(self, fiber):
+        window, lat = fiber
+        moved = self.moved(window, self.column(lat.translation, 0))
+        assert moved.offsets != window.offsets
+        assert window_tiling_check([(moved, lat)]).passed
+
+    def test_duplicated_piece_breaks_tiling_and_packing(self, fiber):
+        window, lat = fiber
+        dup = replace(window, offsets=window.offsets + window.offsets[:1])
+        rep = window_tiling_check([(dup, lat)])
+        assert rep.max_tiling_deviation == 1
+        assert rep.max_packing_count == 2
+
+
 class TestTwoDimensionalFiber:
     def test_defect_small_at_volume_one_fiber(self, example2):
         # painless window on the d = 2 fiber of full lattice volume

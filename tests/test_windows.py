@@ -1,5 +1,6 @@
 """Window synthesis: exact tiling data, norms, generator fields."""
 
+import hashlib
 import json
 import math
 import random
@@ -232,3 +233,21 @@ class TestSerialization:
         two = json.dumps(field_to_document(
             build_generator_field(heisenberg, p, box, grid_shape=[4])), sort_keys=True)
         assert one == two
+
+    @pytest.mark.parametrize(
+        "spec_name, a, b, grid, digest",
+        [
+            ("example2", [2, 3], [3, 3], [4, 6],
+             "3410bc686a110075018b87cdef64657c7541703e6e23d2231b020f338d536e7e"),
+            ("example2", [2, 3], [3, 3], [12, 18],
+             "2523cd195e49938e291597e98990a7f79df69252507d0ddf9cb48681c4ac5406"),
+            ("heisenberg", [1], [1], [16],
+             "a0cd848b91348a093390e23c5a46c3d734ac780ffbbcab6970eed81c4136dad7"),
+        ],
+    )
+    def test_documents_pinned(self, request, spec_name, a, b, grid, digest):
+        spec = request.getfixturevalue(spec_name)
+        p = params_for(a, [1] * spec.d, b)
+        field = build_generator_field(spec, p, SpectrumBox(a=p.a), grid_shape=grid)
+        text = json.dumps(field_to_document(field), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
