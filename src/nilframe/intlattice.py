@@ -108,16 +108,19 @@ def hnf_columns(m: Sequence[Sequence[int]]) -> list[list[int]]:
     return [row[:rows] for row in work]
 
 
+def cleared_denominators(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Integer numerators and the least common denominator den of a
+    rational matrix: m = numerators / den."""
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    return [[int(x * den) for x in row] for row in m], den
+
+
 def lattice_sum_basis(g: Sequence[Sequence[Fraction]]) -> Matrix:
     """Basis of the lattice generated by the columns of g together with Z^d."""
     d = len(g)
-    den = 1
-    for row in g:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    cols = [[int(g[i][j] * den) for i in range(d)] for j in range(d)]
-    cols += [[den if i == j else 0 for i in range(d)] for j in range(d)]
-    stacked = [[cols[j][i] for j in range(2 * d)] for i in range(d)]
+    num, den = cleared_denominators(g)
+    # columns of den * g next to those of den * I
+    stacked = [row + [den if i == j else 0 for j in range(d)] for i, row in enumerate(num)]
     w = hnf_columns(stacked)
     return [[Fraction(w[i][j], den) for j in range(d)] for i in range(d)]
 

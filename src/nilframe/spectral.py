@@ -288,16 +288,16 @@ class _ScaledPoly:
         q0 = _value_num(self.monos, D, center, k + 1)
         return q0, [_value_num(deriv, D - 1, center, k + 1) for deriv in self.grad_monos]
 
-    def linear_bracket_num(self, lo_num, hi_num, k, depth: int) -> tuple[int, int]:
+    def linear_bracket_num(self, lo_num, hi_num, k, depth: int, rho: int) -> tuple[int, int]:
         """Integers (lower, upper) around the integral of |P| over the dyadic
         box, as numerators over den * int_lcm * 2**(depth*int_exp) for a
         depth > k: the exact integral of |L| plus or minus rho times the
-        volume, rounded outward.
+        volume, rounded outward; rho is ``remainder_num`` of the box.
         """
         q0, q = self.linear_model(lo_num, hi_num, k)
         half = [h - l for l, h in zip(lo_num, hi_num)]
         num, den = _abs_linear_integral(q0, q, half)
-        spread = self.remainder_num(lo_num, hi_num, k) * math.prod(2 * w for w in half) * den
+        spread = rho * math.prod(2 * w for w in half) * den
         scale = self.int_lcm << ((depth - k - 1) * self.int_exp)
         lower = (num - spread) * scale // den
         upper = -(-(num + spread) * scale // den)
@@ -634,7 +634,7 @@ def spectral_measure(
     boxes_processed = 0
     max_depth = 0
     counter = 0
-    heap: list = []          # open boxes: (-width_proxy, counter, ridx, lo, hi, k, mn, mx, se)
+    heap: list = []          # open boxes: (-width_proxy, counter, ridx, lo, hi, k, mn, mx, se, rho)
     # exact |integral| of the sign-resolved boxes, per region and depth k, as
     # numerators over den * int_lcm * 2**(k*int_exp)
     resolved: list[dict[int, int]] = [{} for _ in regions]
@@ -658,7 +658,7 @@ def spectral_measure(
                 den_all = float(scaled.den) * float(1 << se)
                 w = vol_f * min(float(threshold), max(abs(mn), abs(mx)) / den_all)
                 counter += 1
-                heapq.heappush(heap, (-w, counter, ridx, lo_num, hi_num, k, mn, mx, se))
+                heapq.heappush(heap, (-w, counter, ridx, lo_num, hi_num, k, mn, mx, se, None))
                 total_width += w
                 return
         if mn >= 0 or mx <= 0:
@@ -673,11 +673,12 @@ def spectral_measure(
         vol_f = scaled.box_volume_f * scaled.dyadic_volume_f(lo_num, hi_num, k)
         den_all = float(scaled.den) * float(1 << se)
         w = vol_f * 2.0 * (min(mx, -mn) / den_all)
+        rho = None
         if threshold is None:
             rho = scaled.remainder_num(lo_num, hi_num, k)
             w = min(w, vol_f * 2.0 * (rho / (scaled.den << (se + scaled.deg_total))))
         counter += 1
-        heapq.heappush(heap, (-w, counter, ridx, lo_num, hi_num, k, mn, mx, se))
+        heapq.heappush(heap, (-w, counter, ridx, lo_num, hi_num, k, mn, mx, se, rho))
         total_width += w
 
     lo0 = (0,) * nv
@@ -688,7 +689,7 @@ def spectral_measure(
     # the second-order proxy is tight, so plain mode ends near its target
     target = (0.6 if threshold is None else 0.9) * float(tol_frac)
     while heap and total_width > target and boxes_processed < max_boxes:
-        neg_w, _, ridx, lo_num, hi_num, k, _, _, _ = heapq.heappop(heap)
+        neg_w, _, ridx, lo_num, hi_num, k, _, _, _, _ = heapq.heappop(heap)
         total_width += neg_w
         boxes_processed += 1
         for clo, chi, ck in _split_box(lo_num, hi_num, k):
@@ -705,7 +706,7 @@ def spectral_measure(
     fine = [scaled.grid_depth(tol_frac / (1 << 30)) for scaled in scaled_list]
     lower_acc = [{k: v * thr_den for k, v in acc.items()} for acc in resolved]
     upper_acc = [dict(acc) for acc in lower_acc]
-    for _, _, ridx, lo_num, hi_num, k, mn, mx, se in heap:
+    for _, _, ridx, lo_num, hi_num, k, mn, mx, se, rho in heap:
         scaled = scaled_list[ridx]
         lo_acc = lower_acc[ridx]
         hi_acc = upper_acc[ridx]
@@ -726,7 +727,7 @@ def spectral_measure(
             continue
         # plain mode: intersect with the second-order bracket
         depth = max(k + 1, fine[ridx])
-        lo2, hi2 = scaled.linear_bracket_num(lo_num, hi_num, k, depth)
+        lo2, hi2 = scaled.linear_bracket_num(lo_num, hi_num, k, depth, rho)
         shift = (depth - k) * scaled.int_exp
         lo_acc[depth] = lo_acc.get(depth, 0) + max(lb << shift, lo2)
         hi_acc[depth] = hi_acc.get(depth, 0) + min(cap << shift, hi2)

@@ -14,6 +14,11 @@ The λ-grid Fourier step is exact at grid level: coefficients are taken over
 one period of distinct alias classes of the grid, so requesting more central
 indices than the grid resolves cannot double-count energy; the clipping is
 reported, never hidden.
+
+The tiling certificate and the Gram diagnostic read one piece-cell view of
+each window (``PiecewiseBoxWindow.cells`` and ``lattice_cells``).  Its
+cells and translations are integer, so every overlap of a piece with a
+translate of another piece is whole or empty.
 """
 
 from __future__ import annotations
@@ -31,18 +36,18 @@ from .algebra import LieAlgebraSpec
 from .errors import MisalignedGridError, SchemaError
 from .intlattice import (
     cell_packs,
+    cleared_denominators,
     hnf_columns,
     integer_matrix,
     mat_det,
     mat_inv,
-    mat_mul,
-    mat_transpose,
     mat_vec,
     residue,
 )
 from .lattice import FiberGaborLattice, QuasiLatticeParams, fiber_lattice
+from .rationals import format_rational_vector
 from .spectral import SpectrumBox, density_polynomial
-from .windows import FieldNode, FrameGeneratorField, PiecewiseBoxWindow
+from .windows import FieldNode, FrameGeneratorField, PiecewiseBoxWindow, centered_grid
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +207,6 @@ def make_test_field(
     space_profile: Callable[[list[np.ndarray]], np.ndarray],
 ) -> BandlimitedField:
     """Product-form field: profile(λ) * profile(x) on the centered λ-grid."""
-    from .windows import centered_grid
-
     det_b = density_polynomial(spec)
     axes = centered_grid(box, grid_shape)
     mesh = x_grid.mesh()
@@ -329,7 +332,10 @@ def _fiber_pairings(
     n_vecs = list(product(*[range(-h, h + 1) for h in trunc.n_half]))
     out = np.zeros((len(tables[0]), len(n_vecs)), dtype=complex)
     for ni, n_vec in enumerate(n_vecs):
-        wn = _shift_with_zeros(w, x_grid.shift_steps(n_vec, b))
+        steps = x_grid.shift_steps(n_vec, b)
+        if any(abs(s) >= n for s, n in zip(steps, w.shape)):
+            continue  # the translate leaves the grid
+        wn = _shift_with_zeros(w, steps)
         if wn.any():
             out[:, ni] = _modulated_pairings(tables, f * np.conj(wn))
     return out * x_grid.cell_volume
@@ -466,17 +472,14 @@ def frame_energy_ratio(
     coeffs = h @ e_mat.T * lam_cell
     contribs = np.sum(np.abs(coeffs) ** 2, axis=-1)
 
-    energy = 0.0
-    shell_energy: dict[int, float] = {}
+    energy = tail = 0.0
+    last_shell = max((*trunc.k_half, *trunc.n_half), default=0)
     # contribs[k, n] ravels in the (k outer, n inner) order of gamma_range
     for (k_vec, n_vec), contrib in zip(trunc.gamma_range(), contribs.ravel()):
-        contrib = float(contrib)
-        energy += contrib
-        shell = max([abs(x) for x in k_vec] + [abs(x) for x in n_vec] + [0])
-        shell_energy[shell] = shell_energy.get(shell, 0.0) + contrib
-
-    last_shell = max(shell_energy) if shell_energy else 0
-    tail_fraction = shell_energy.get(last_shell, 0.0) / energy if energy > 0 else 0.0
+        energy += float(contrib)
+        if max(map(abs, k_vec + n_vec), default=0) == last_shell:
+            tail += float(contrib)
+    tail_fraction = tail / energy if energy > 0 else 0.0
     return RatioReport(
         ratio=energy / norm_sq,
         energy=energy,
@@ -502,12 +505,16 @@ class TilingReport:
     worst: tuple
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "passed": self.passed,
             "max_tiling_deviation": self.max_tiling_deviation,
             "max_packing_count": self.max_packing_count,
             "checked_nodes": self.checked_nodes,
         }
+        if not self.passed:
+            kind, lam, detail = self.worst
+            out["worst"] = {"kind": kind, "lam": format_rational_vector(lam), "detail": detail}
+        return out
 
 
 def window_tiling_check(
@@ -516,26 +523,28 @@ def window_tiling_check(
 ) -> TilingReport:
     """Exact tiling and packing certificate in piece-cell coordinates.
 
-    With P the shape the pieces share, t = P^{-1} x turns every piece into the
-    unit cube at V = P^{-1} offset, the translations into A = P^{-1} T and the
-    dual modulations into D = P^{-1} C^{-tr}.  A window whose A and V are
-    integer tiles iff V is a complete residue system modulo A Z^d; each class
-    of A Z^d counts its pieces, and an uncovered class deviates by one.  It
-    packs iff the residues of V modulo D Z^d are distinct when D is integer,
-    or, for a single piece, iff the open cube (-1,1)^d holds no nonzero dual
-    vector.  Identical pieces never pack.  Any other window is reported as
-    uncertifiable and fails.  Only the window and the lattice are read; the
-    synthesizer is never called.  ``resolution`` is ignored.
+    The window's piece-cell view (``PiecewiseBoxWindow.cells`` and
+    ``lattice_cells``, with P the shape the pieces share) turns every piece
+    into the unit cube at V = P^{-1} offset, the translations into
+    A = P^{-1} T and the dual modulations into D = P^{-1} C^{-tr}.  A window
+    whose A and V are integer tiles iff V is a complete residue system
+    modulo A Z^d; each class of A Z^d counts its pieces, and an uncovered
+    class deviates by one.  It packs iff the residues of V modulo D Z^d are
+    distinct when D is integer, or, for a single piece, iff the open cube
+    (-1,1)^d holds no nonzero dual vector.  Identical pieces never pack.  Any
+    other window is reported as uncertifiable and fails.  Only the window
+    and the lattice are read; the synthesizer is never called.
+    ``resolution`` is ignored.
     """
     worst: tuple = ()
     max_dev = 0
     max_pack = 0
     certified = True
     for window, lattice in windows:
-        shape_inv = mat_inv(window.shape)
-        trans = _as_integer(mat_mul(shape_inv, lattice.translation))
-        cubes = _as_integer([mat_vec(shape_inv, off) for off in window.offsets])
-        if trans is None or cubes is None:
+        trans, dual = window.lattice_cells(lattice)
+        try:
+            trans, cubes = integer_matrix(trans), window.cells
+        except ValueError:
             certified = False
             worst = ("uncertifiable", lattice.lam, "translations or pieces off the piece grid")
             continue
@@ -547,12 +556,10 @@ def window_tiling_check(
             worst = ("tiling", lattice.lam, dev)
         max_dev = max(max_dev, dev)
 
-        dual = mat_mul(shape_inv, mat_inv(mat_transpose(lattice.modulation)))
-        dual_int = _as_integer(dual)
-        if dual_int is not None:
-            h = hnf_columns(dual_int)
+        if all(x.denominator == 1 for row in dual for x in row):
+            h = hnf_columns(integer_matrix(dual))
             pack = max(Counter(residue(v, h) for v in cubes).values(), default=0)
-        elif len(set(map(tuple, cubes))) <= 1:
+        elif len(set(cubes)) <= 1:
             pack = len(cubes)
             if cubes and not cell_packs(mat_inv(dual)):
                 pack = max(pack, 2)
@@ -570,13 +577,6 @@ def window_tiling_check(
         checked_nodes=len(windows),
         worst=worst,
     )
-
-
-def _as_integer(m) -> list[list[int]] | None:
-    try:
-        return integer_matrix(m)
-    except ValueError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -600,98 +600,58 @@ class GramReport:
         }
 
 
-def _exp_integral(w: float, u: float, v: float) -> complex:
-    """Integral of exp(2 pi i t w) over [u, v]."""
-    if abs(w) < 1e-15:
-        return complex(v - u)
-    return (np.exp(2j * np.pi * v * w) - np.exp(2j * np.pi * u * w)) / (2j * np.pi * w)
-
-
 class _FiberGram:
-    """Closed-form Gram entries for one fiber, with geometry cached.
-
-    Every entry is an exact piece-pair overlap computation: pieces are
-    translates of one parallelepiped, so each overlap is an axis box in cell
-    coordinates and the modulation integral factorizes.
+    """Closed-form Gram entries for one fiber from its integer piece cells V
+    and translations A: a piece meets a translate of a piece wholly or not at
+    all, so with xi = B dk every entry but the norm is
+    scale^2 |det P| e^{2 pi i (T n').xi} prod_t E((P^tr xi)_t)
+    sum_i count[V_i - A dn] e^{2 pi i offset_i.xi}, with E(w) the integral of
+    e^{2 pi i t w} over [0, 1] and count the multiplicity of a cell.  A
+    window off the integer grid raises ValueError.
     """
 
     def __init__(self, node: FieldNode):
-        self.window = node.window
-        self.lattice = node.lattice
-        d = self.window.d
-        self.d = d
-        shape = [list(r) for r in self.window.shape]
-        self.shape_inv = mat_inv(shape)
-        self.shape_f = [[float(v) for v in row] for row in shape]
-        self.det_s = abs(float(mat_det(shape)))
-        self.trans = [list(r) for r in self.lattice.translation]
-        self.mod_f = [[float(v) for v in row] for row in self.lattice.modulation]
-        self.coords = [mat_vec(self.shape_inv, off) for off in self.window.offsets]
-        self.offsets_f = [[float(o) for o in off] for off in self.window.offsets]
-        from collections import defaultdict
-
-        self.buckets: dict = defaultdict(list)
-        for j, c in enumerate(self.coords):
-            key = tuple((v.numerator // v.denominator) for v in c)
-            self.buckets[key].append(j)
-        self.offsets_arr = np.array(self.offsets_f) if self.offsets_f else np.zeros((0, d))
+        window = node.window
+        self.norm_sq = window.norm_sq
+        self.weight = window.scale**2 * float(window.piece_measure)
+        self.cells = window.cells
+        self.counts = Counter(self.cells)
+        self.trans_cells = integer_matrix(window.lattice_cells(node.lattice)[0])
+        # T n' goes to floats as integer sums over one common denominator,
+        # rounded once like the exact product
+        self.trans_num, self.trans_den = cleared_denominators(node.lattice.translation)
+        self.shape_f = [[float(v) for v in row] for row in window.shape]
+        self.mod_f = [[float(v) for v in row] for row in node.lattice.modulation]
+        self.offsets_f = np.array(window.offsets, dtype=float).reshape(-1, window.d)
+        self.weights: dict = {}  # counts per relative translation dn, None when all zero
 
     def entry(
         self,
         gamma: tuple[tuple[int, ...], tuple[int, ...]],
         gamma2: tuple[tuple[int, ...], tuple[int, ...]],
     ) -> complex:
-        d = self.d
-        k1, n1 = gamma
-        k2, n2 = gamma2
+        (k1, n1), (k2, n2) = gamma, gamma2
         dk = [a - b for a, b in zip(k1, k2)]
-        dn = [a - b for a, b in zip(n1, n2)]
-        if all(v == 0 for v in dk) and all(v == 0 for v in dn):
-            return complex(self.window.norm_sq)
-        xi = [sum(self.mod_f[i][j] * dk[j] for j in range(d)) for i in range(d)]
-        s_t_xi = [sum(self.shape_f[i][j] * xi[i] for i in range(d)) for j in range(d)]
-        phase0 = sum(
-            float(sum(self.trans[i][j] * n2[j] for j in range(d))) * xi[i] for i in range(d)
-        )
-        if all(v == 0 for v in dn):
-            # zero relative translation: disjoint pieces only overlap
-            # themselves, so the pair sum collapses to the diagonal
-            prod_val = 1.0 + 0.0j
-            for t in range(d):
-                prod_val *= _exp_integral(s_t_xi[t], 0.0, 1.0)
-            phases = self.offsets_arr @ np.array(xi)
-            exp_sum = complex(np.sum(np.exp(2j * np.pi * phases)))
-            return (
-                self.window.scale**2
-                * self.det_s
-                * np.exp(2j * np.pi * phase0)
-                * exp_sum
-                * prod_val
-            )
-        t_dn = [sum(self.trans[i][j] * dn[j] for j in range(d)) for i in range(d)]
-        shift_coord = mat_vec(self.shape_inv, t_dn)
-
-        total = 0.0 + 0.0j
-        for i, ci in enumerate(self.coords):
-            target = [ci[t] - shift_coord[t] for t in range(d)]
-            base = [v.numerator // v.denominator for v in target]
-            acc = 0.0 + 0.0j
-            for delta in product((-1, 0, 1), repeat=d):
-                for j in self.buckets.get(tuple(b + dd for b, dd in zip(base, delta)), ()):
-                    cj = self.coords[j]
-                    delta_c = [cj[t] + shift_coord[t] - ci[t] for t in range(d)]
-                    if not all(abs(v) < 1 for v in delta_c):
-                        continue
-                    prod_val = 1.0 + 0.0j
-                    for t in range(d):
-                        u = max(0.0, float(delta_c[t]))
-                        vv = min(1.0, 1.0 + float(delta_c[t]))
-                        prod_val *= _exp_integral(s_t_xi[t], u, vv)
-                    acc += prod_val
-            if acc != 0.0:
-                phase = sum(self.offsets_f[i][t] * xi[t] for t in range(d))
-                total += np.exp(2j * np.pi * phase) * acc
-        return self.window.scale**2 * self.det_s * np.exp(2j * np.pi * phase0) * total
+        dn = tuple(a - b for a, b in zip(n1, n2))
+        if not any(dk) and not any(dn):
+            return complex(self.norm_sq)
+        if dn not in self.weights:
+            shift = mat_vec(self.trans_cells, dn)
+            counts = [self.counts[tuple(x - s for x, s in zip(v, shift))] for v in self.cells]
+            self.weights[dn] = np.array(counts, dtype=float) if any(counts) else None
+        weights = self.weights[dn]
+        if weights is None:
+            return 0j  # no piece meets a translate: the sum is empty
+        d = len(dk)
+        xi = [sum(row[j] * dk[j] for j in range(d)) for row in self.mod_f]
+        edge = 1.0 + 0.0j
+        for t in range(d):
+            w = sum(self.shape_f[i][t] * xi[i] for i in range(d))
+            if abs(w) >= 1e-15:  # E(w), and E(0) = 1
+                edge *= (np.exp(2j * np.pi * w) - 1) / (2j * np.pi * w)
+        phase0 = sum(x / self.trans_den * w for x, w in zip(mat_vec(self.trans_num, n2), xi))
+        exp_sum = complex(np.sum(weights * np.exp(2j * np.pi * (self.offsets_f @ np.array(xi)))))
+        return self.weight * np.exp(2j * np.pi * phase0) * exp_sum * edge
 
 
 def gram_orthonormality_check(
@@ -706,21 +666,17 @@ def gram_orthonormality_check(
     over the truncated index set.
     """
     gammas = list(trunc.gamma_range())
-    if not gammas:
-        raise SchemaError("trunc", "empty gamma range")
     cell = float(generator.cell_volume)
     inv_prod_a = 1.0 / float(generator.params.prod_a)
     helpers = [_FiberGram(node) for node in generator.nodes]
     diag_vals = []
     max_off = 0.0
-    count = 0
     for gi, g1 in enumerate(gammas):
         for g2 in gammas[gi:]:
             val = 0.0 + 0.0j
             for helper in helpers:
                 val += helper.entry(g1, g2)
             val *= cell * inv_prod_a
-            count += 1
             if g1 == g2:
                 diag_vals.append(float(val.real))
             else:
@@ -731,5 +687,5 @@ def gram_orthonormality_check(
         diagonal_value=diag,
         max_diagonal_deviation=max_dev,
         max_offdiagonal=max_off,
-        entries=count,
+        entries=len(gammas) * (len(gammas) + 1) // 2,
     )

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -40,6 +41,7 @@ from .errors import (
 )
 from .intlattice import (
     cell_packs,
+    cleared_denominators,
     hnf_columns,
     integer_matrix,
     lattice_sum_basis,
@@ -59,7 +61,11 @@ from .spectral import MeasureResult, SpectrumBox, density_polynomial
 class PiecewiseBoxWindow:
     """Scaled indicator of finitely many disjoint parallelepipeds.
 
-    Every piece is shape @ [0,1)^d + offset; pieces share the shape matrix.
+    Every piece is shape @ [0,1)^d + offset; pieces share the shape matrix P.
+    In piece-cell coordinates t = P^{-1} x every piece is the unit cube at
+    its cell V = P^{-1} offset: ``cells`` holds these integer points (a
+    window off the integer grid raises ValueError), and ``lattice_cells``
+    brings a fiber lattice into the same coordinates.
     """
 
     scale: float
@@ -86,11 +92,24 @@ class PiecewiseBoxWindow:
     def norm_sq(self) -> float:
         return self.scale**2 * float(self.total_measure)
 
+    @cached_property
+    def _shape_inv(self) -> list[list[Fraction]]:
+        return mat_inv(self.shape)
+
+    @cached_property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        """Integer cell V = P^{-1} offset of every piece, in piece order."""
+        return tuple(map(tuple, integer_matrix([mat_vec(self._shape_inv, o) for o in self.offsets])))
+
+    def lattice_cells(self, lattice: FiberGaborLattice) -> tuple[list, list]:
+        """The lattice's translations A = P^{-1} T and dual modulations
+        D = P^{-1} C^{-tr} in piece-cell coordinates, as exact matrices."""
+        dual = mat_inv(mat_transpose(lattice.modulation))
+        return mat_mul(self._shape_inv, lattice.translation), mat_mul(self._shape_inv, dual)
+
     def sample_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Float indicator values on a product grid; returns array shaped like the grid."""
-        inv = np.array(
-            [[float(v) for v in row] for row in mat_inv([list(r) for r in self.shape])]
-        )
+        inv = np.array([[float(v) for v in row] for row in self._shape_inv])
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=0)  # (d, npts)
         out = np.zeros(pts.shape[1], dtype=bool)
@@ -126,10 +145,12 @@ def synthesize_window(lattice: FiberGaborLattice, piece_limit: int = 4096) -> Pi
     g = mat_mul(mat_transpose(mod), trans)
     offsets, basis = _stack_pieces(g, piece_limit)
     shape = mat_mul(mat_inv(mat_transpose(mod)), basis)
+    # pieces go to x as P v, on integers over one common denominator of P
+    shape_num, den = cleared_denominators(shape)
     return PiecewiseBoxWindow(
         scale=scale,
         shape=tuple(tuple(row) for row in shape),
-        offsets=tuple(tuple(mat_vec(shape, v)) for v in offsets),
+        offsets=tuple(tuple(Fraction(x, den) for x in mat_vec(shape_num, v)) for v in offsets),
     )
 
 

@@ -4,6 +4,7 @@ full-frame energy, tiling re-check, Gram matrix."""
 import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -82,6 +83,86 @@ def full_mesh_pairings(modulation, k_vecs, x_grid, prod):
             phase = phase + mesh[axis] * freq[axis]
         out.append(np.sum(prod * np.exp(-2j * np.pi * phase)))
     return np.array(out)
+
+
+def _exp_integral(w, u, v):
+    """Integral of exp(2 pi i t w) over [u, v]."""
+    if abs(w) < 1e-15:
+        return complex(v - u)
+    return (np.exp(2j * np.pi * v * w) - np.exp(2j * np.pi * u * w)) / (2j * np.pi * w)
+
+
+class BucketSearchGram:
+    """Reference Gram entries by piece-pair overlap search in Fraction cell
+    coordinates: a bucket index over the cells, a 3^d neighbour loop and a
+    partial-overlap integral per pair, with the pair sum collapsed to the
+    diagonal at dn = 0 for disjoint pieces (unless ``pairwise_at_zero``)."""
+
+    def __init__(self, node, pairwise_at_zero=False):
+        from collections import defaultdict
+
+        from nilframe.intlattice import mat_det, mat_inv, mat_vec
+
+        self.mat_vec = mat_vec
+        self.pairwise_at_zero = pairwise_at_zero
+        self.window = node.window
+        d = self.window.d
+        self.d = d
+        shape = [list(r) for r in self.window.shape]
+        self.shape_inv = mat_inv(shape)
+        self.shape_f = [[float(v) for v in row] for row in shape]
+        self.det_s = abs(float(mat_det(shape)))
+        self.trans = [list(r) for r in node.lattice.translation]
+        self.mod_f = [[float(v) for v in row] for row in node.lattice.modulation]
+        self.coords = [mat_vec(self.shape_inv, off) for off in self.window.offsets]
+        self.offsets_f = [[float(o) for o in off] for off in self.window.offsets]
+        self.buckets = defaultdict(list)
+        for j, c in enumerate(self.coords):
+            self.buckets[tuple(v.numerator // v.denominator for v in c)].append(j)
+        self.offsets_arr = np.array(self.offsets_f) if self.offsets_f else np.zeros((0, d))
+
+    def entry(self, gamma, gamma2):
+        d = self.d
+        k1, n1 = gamma
+        k2, n2 = gamma2
+        dk = [a - b for a, b in zip(k1, k2)]
+        dn = [a - b for a, b in zip(n1, n2)]
+        if all(v == 0 for v in dk) and all(v == 0 for v in dn):
+            return complex(self.window.norm_sq)
+        xi = [sum(self.mod_f[i][j] * dk[j] for j in range(d)) for i in range(d)]
+        s_t_xi = [sum(self.shape_f[i][j] * xi[i] for i in range(d)) for j in range(d)]
+        phase0 = sum(
+            float(sum(self.trans[i][j] * n2[j] for j in range(d))) * xi[i] for i in range(d)
+        )
+        scale = self.window.scale**2 * self.det_s * np.exp(2j * np.pi * phase0)
+        if all(v == 0 for v in dn) and not self.pairwise_at_zero:
+            prod_val = 1.0 + 0.0j
+            for t in range(d):
+                prod_val *= _exp_integral(s_t_xi[t], 0.0, 1.0)
+            phases = self.offsets_arr @ np.array(xi)
+            exp_sum = complex(np.sum(np.exp(2j * np.pi * phases)))
+            return scale * exp_sum * prod_val
+        t_dn = [sum(self.trans[i][j] * dn[j] for j in range(d)) for i in range(d)]
+        shift_coord = self.mat_vec(self.shape_inv, t_dn)
+        total = 0.0 + 0.0j
+        for i, ci in enumerate(self.coords):
+            target = [ci[t] - shift_coord[t] for t in range(d)]
+            base = [v.numerator // v.denominator for v in target]
+            acc = 0.0 + 0.0j
+            for delta in product((-1, 0, 1), repeat=d):
+                for j in self.buckets.get(tuple(b + dd for b, dd in zip(base, delta)), ()):
+                    delta_c = [self.coords[j][t] + shift_coord[t] - ci[t] for t in range(d)]
+                    if not all(abs(v) < 1 for v in delta_c):
+                        continue
+                    prod_val = 1.0 + 0.0j
+                    for t in range(d):
+                        u = max(0.0, float(delta_c[t]))
+                        prod_val *= _exp_integral(s_t_xi[t], u, min(1.0, 1.0 + float(delta_c[t])))
+                    acc += prod_val
+            if acc != 0.0:
+                phase = sum(self.offsets_f[i][t] * xi[t] for t in range(d))
+                total += np.exp(2j * np.pi * phase) * acc
+        return scale * total
 
 
 def assert_kernel_matches_full_mesh(modulation, k_vecs, grid, prod):
@@ -485,6 +566,55 @@ class TestTilingCertificateMutations:
         assert rep.max_tiling_deviation == 1
         assert rep.max_packing_count == 2
 
+    def test_failing_report_names_its_reason(self, fiber):
+        from nilframe.intlattice import mat_vec
+
+        window, lat = fiber
+        broken = self.moved(window, mat_vec(window.shape, (F(1, 2), F(0))))
+        doc = window_tiling_check([(broken, lat)]).as_dict()
+        assert doc["passed"] is False
+        assert doc["worst"] == {
+            "kind": "uncertifiable",
+            "lam": ["3/4", "11/4"],
+            "detail": "translations or pieces off the piece grid",
+        }
+        # a passing report keeps its keys
+        assert "worst" not in window_tiling_check([fiber]).as_dict()
+
+    def test_gram_rejects_off_grid_window(self, fiber):
+        from nilframe.intlattice import mat_vec
+        from nilframe.verify import _FiberGram
+
+        window, lat = fiber
+        broken = self.moved(window, mat_vec(window.shape, (F(1, 2), F(0))))
+        node = FieldNode(lam=lat.lam, window=broken, normalization=1.0, lattice=lat)
+        with pytest.raises(ValueError):
+            _FiberGram(node)
+
+    def test_gram_weights_coinciding_pieces(self, fiber):
+        # a duplicated piece, and a copy moved by a translation column, meet
+        # pieces of the window at dn = 0 and dn = (1, 0): the cell counts
+        # must weight the overlap formula as the piece-pair search does
+        from nilframe.verify import _FiberGram
+
+        window, lat = fiber
+        shifted = tuple(o + t for o, t in zip(window.offsets[5], self.column(lat.translation, 0)))
+        extra = replace(window, offsets=window.offsets + window.offsets[:1] + (shifted,))
+        node = FieldNode(lam=lat.lam, window=extra, normalization=1.0, lattice=lat)
+        gram = _FiberGram(node)
+        ref = BucketSearchGram(node, pairwise_at_zero=True)
+        pairs = [
+            (((1, 0), (0, 0)), ((0, 0), (0, 0))),
+            (((1, -1), (1, 1)), ((0, 1), (1, 1))),
+            (((0, 0), (1, 0)), ((0, 0), (0, 0))),
+            (((1, 2), (0, 1)), ((0, 0), (-1, 1))),
+            (((0, 1), (-1, 0)), ((0, 0), (0, 0))),
+        ]
+        for g1, g2 in pairs:
+            got, want = gram.entry(g1, g2), ref.entry(g1, g2)
+            assert abs(want) > 1e-3
+            assert abs(got - want) <= 1e-12 * abs(want)
+
 
 class TestTwoDimensionalFiber:
     def test_defect_small_at_volume_one_fiber(self, example2):
@@ -526,6 +656,38 @@ class TestTwoDimensionalFiber:
 
 
 class TestGram:
+    @pytest.mark.parametrize(
+        "spec_name, a, b, grid, half",
+        [
+            ("heisenberg_module", [1], [1], [16], 3),
+            ("example2", [2, 3], [3, 3], [4, 6], 2),
+            ("example2", [2, 3], [3, 3], [12, 18], 1),
+        ],
+    )
+    def test_cell_lookup_matches_bucket_search(self, request, spec_name, a, b, grid, half):
+        # every node, sampled (gamma, gamma') pairs with dn != 0 and dn = 0
+        import random
+
+        from nilframe.verify import _FiberGram
+
+        spec = request.getfixturevalue(spec_name)
+        d = spec.d
+        p = QuasiLatticeParams(a=tuple(map(F, a)), q=(F(1),) * d, b=tuple(map(F, b)))
+        field = build_generator_field(spec, p, SpectrumBox(a=p.a), grid_shape=grid)
+        idx = list(product(range(-half, half + 1), repeat=d))
+        rng = random.Random(7)
+        shifted = nonzero = 0
+        for node in field.nodes:
+            gram, ref = _FiberGram(node), BucketSearchGram(node)
+            for _ in range(4):
+                g1 = (rng.choice(idx), rng.choice(idx))
+                for g2 in ((rng.choice(idx), rng.choice(idx)), (rng.choice(idx), g1[1])):
+                    got = gram.entry(g1, g2)
+                    assert got == ref.entry(g1, g2)
+                    shifted += g1[1] != g2[1]
+                    nonzero += got != 0
+        assert shifted and nonzero
+
     def test_fiber_entry_matches_midpoint_quadrature(self, example2):
         # closed-form piece-pair integrals vs midpoint quadrature over a box
         # covering all translates; midpoint sampling keeps the indicator
