@@ -395,8 +395,11 @@ def check_wavelet_discretization(
     First verdict: prod(b) prod(q) prod(a) = 1 in exact rational arithmetic.
     Then the sublevel region where the fiber volume stays at most one is
     certified: a witness sub-box proves non-emptiness and the measure bracket
-    bounds its spectral mass.  Second verdict: that mass equals one within
-    tol (the basis case).
+    bounds its spectral mass.  That bracket is second order: every box left
+    open contributes the exact integrals of lower and upper models of the
+    clipped density built on its linear Taylor model, and boxes are refined
+    until their bracket widths sum to at most 0.6 measure_tol.  Second
+    verdict: that mass equals one within tol (the basis case).
     """
     det_b = density_polynomial(spec)
     product = params.prod_b * params.prod_q * params.prod_a

@@ -4,11 +4,15 @@ suprema and measures over spectrum boxes.
 Symbolic identities are exact; the sup and measure routines return certified
 rational brackets produced by branch-and-bound over dyadic sub-boxes, with
 monomial-wise interval bounds (valid because every box lives in the positive
-orthant).  The plain measure also brackets each box that straddles the zero
-set by a linear Taylor model L with a certified remainder rho >= |p - L|:
+orthant).  The measure also brackets each open box by a linear Taylor model
+L with a certified remainder rho >= |p - L|.  In the plain measure that is
 the integral of |L|, exact by the vertex formula for a box, plus or minus
 rho times the volume, which closes as O(h^4) per box against O(h^3) for the
-interval bound.  Both routines run on integer numerators over dyadic common
+interval bound.  Over a sublevel region {|p| <= T} it is the exact integral
+of two piecewise linear functions of L that bound |p| 1{|p| <= T} from
+below and above; they differ only on the band where |L| is within rho of T
+or of 0, so a box across the level set closes with the band's volume, not
+with its own.  Both routines run on integer numerators over dyadic common
 denominators and build one Fraction per region for the returned bracket;
 floats only steer the refinement order.
 """
@@ -187,6 +191,7 @@ class _ScaledPoly:
         "int_exp",
         "grad_monos",
         "remainder_monos",
+        "remainder_top",
     )
 
     def __init__(self, p: SpectralPolynomial, lo: Sequence[Fraction], hi: Sequence[Fraction]):
@@ -223,8 +228,17 @@ class _ScaledPoly:
             taylor.get(tuple(int(i == axis) for i in range(self.nvars)), [])
             for axis in range(self.nvars)
         ]
+        # the remainder's coefficients of order deg_total are constants, folded
+        # here once; lower orders are polynomials evaluated per box
         self.remainder_monos = [
-            (alpha, deriv, sum(alpha)) for alpha, deriv in taylor.items() if sum(alpha) >= 2
+            (alpha, deriv, sum(alpha))
+            for alpha, deriv in taylor.items()
+            if 2 <= sum(alpha) < self.deg_total
+        ]
+        self.remainder_top = [
+            (alpha, abs(sum(c for _, c in deriv)))
+            for alpha, deriv in taylor.items()
+            if sum(alpha) == self.deg_total >= 2
         ]
 
     def bounds(self, lo_num: tuple[int, ...], hi_num: tuple[int, ...], k: int):
@@ -264,16 +278,22 @@ class _ScaledPoly:
         rho = sum over |alpha| >= 2 of |d^alpha P(c) / alpha!| * w^alpha, with
         c the center and w the half-widths; a depth-(k+1) numerator of the
         coefficient times the integer half-widths hi_num - lo_num lands on the
-        common denominator.
+        common denominator.  The order-deg_total coefficients are constants.
         """
         D = self.deg_total
         center = [l + h for l, h in zip(lo_num, hi_num)]
+        half = [h - l for l, h in zip(lo_num, hi_num)]
         rho = 0
         for alpha, deriv, order in self.remainder_monos:
             term = abs(_value_num(deriv, D - order, center, k + 1))
-            for l, h, a in zip(lo_num, hi_num, alpha):
+            for w, a in zip(half, alpha):
                 if a:
-                    term *= (h - l) ** a
+                    term *= w**a
+            rho += term
+        for alpha, term in self.remainder_top:
+            for w, a in zip(half, alpha):
+                if a:
+                    term *= w**a
             rho += term
         return rho
 
@@ -298,10 +318,46 @@ class _ScaledPoly:
         half = [h - l for l, h in zip(lo_num, hi_num)]
         num, den = _abs_linear_integral(q0, q, half)
         spread = rho * math.prod(2 * w for w in half) * den
+        return self._round_out(num - spread, num + spread, den, k, depth)
+
+    def sublevel_bracket_num(
+        self, lo_num, hi_num, k, depth: int, rho: int, threshold: Fraction
+    ) -> tuple[int, int]:
+        """Integers (lower, upper) around the integral of |P| over the part
+        of the dyadic box where |p| <= threshold, as numerators over
+        den * int_lcm * thr_den * 2**(depth*int_exp) for a depth > k: the
+        exact integrals of g_lo(L) and g_hi(L) (``_sublevel_terms``) for the
+        linear model L, rounded outward; rho is ``remainder_num`` of the box.
+        """
+        q0, q, rho, thr = self.sublevel_model(lo_num, hi_num, k, rho, threshold)
+        half = [h - l for l, h in zip(lo_num, hi_num)]
+        if any(q):
+            (lower, upper), den = _truncated_power_integral(
+                q0, q, half, *_sublevel_terms(thr, rho)
+            )
+        else:
+            volume = math.prod(2 * w for w in half)
+            g_lo, g_hi = _sublevel_g(q0, thr, rho)
+            lower, upper, den = g_lo * volume, g_hi * volume, 1
+        return self._round_out(lower, upper, den, k, depth)
+
+    def sublevel_model(self, lo_num, hi_num, k, rho: int, threshold: Fraction) -> tuple:
+        """Integers (q0, q, rho, thr) of the linear model, its remainder and
+        the threshold in one unit: ``linear_model``'s times thr_den, so that
+        |p| <= threshold where |P| * thr_den <= thr = thr_num * den *
+        2**((k+1)*deg_total)."""
+        thr_den = threshold.denominator
+        q0, q = self.linear_model(lo_num, hi_num, k)
+        thr = threshold.numerator * self.den << ((k + 1) * self.deg_total)
+        return q0 * thr_den, [x * thr_den for x in q], rho * thr_den, thr
+
+    def _round_out(self, lower, upper, den, k, depth) -> tuple[int, int]:
+        """A box's bracket (lower, upper) / den in its linear model's units,
+        v over 2**(k+1) per axis and values over den * 2**((k+1)*deg_total)
+        (times thr_den for a sublevel), rounded outward onto the integral
+        grid of depth > k."""
         scale = self.int_lcm << ((depth - k - 1) * self.int_exp)
-        lower = (num - spread) * scale // den
-        upper = -(-(num + spread) * scale // den)
-        return lower, upper
+        return lower * scale // den, -(-upper * scale // den)
 
     def grid_depth(self, step: Fraction) -> int:
         """Smallest depth whose integral grid step, box_volume over
@@ -341,28 +397,119 @@ def _value_num(monos, degree: int, num: Sequence[int], k: int) -> int:
     return total
 
 
+def _truncated_power_integral(q0, q, half, *term_lists) -> tuple:
+    """Exact integrals of sums c (L - a)_+^m, one per list of terms (c, a, m)
+    with m in {0, 1}, for L = q0 + q.v on the box prod [-half_i, half_i], as
+    (nums, den) with one numerator per list and den > 0; (x)_+^0 is 1 for
+    x > 0 and 0 otherwise.
+
+    A term integrates by the vertex formula
+    m!/(m+n)! sum_v (prod s_i) (L(v) - a)_+^(m+n) / prod q_i, with s_i = +1
+    at the upper and -1 at the lower end of axis i, over the n axes with
+    q_i != 0; an axis with q_i = 0 integrates out as a factor 2 half_i.  A
+    term whose breakpoint a lies outside the open range of L is a polynomial
+    on the box: 0 above it, and (q0 - a)^m times the volume below it.  With
+    n = 0 the integrand is constant and (x)_+^0 is read as stated.  The
+    lists share the vertices and every (a, m) they have in common.  Exact
+    for integers and Fractions alike.
+    """
+    active = []
+    flat = 1
+    den = 1
+    reach = 0
+    for qi, w in zip(q, half):
+        if qi:
+            active.append((qi, w))
+            den *= qi
+            reach += abs(qi) * w
+        else:
+            flat *= 2 * w
+    n = len(active)
+    den *= math.factorial(n + 1)
+    top = q0 + reach
+    bottom = q0 - reach
+    vertices = None
+    parts: dict = {}  # vertex sums by (a, m), over the common (n+1)! of m!/(m+n)!
+    nums = []
+    for terms in term_lists:
+        below = 0  # terms polynomial on the box, over the volume
+        pos = 0
+        for c, a, m in terms:
+            if a >= top:
+                continue
+            if a <= bottom:
+                below += c * (q0 - a) if m else c
+                continue
+            part = parts.get((a, m))
+            if part is None:
+                if vertices is None:
+                    # (prod s_i, L(v)) over the vertices, one axis at a time
+                    vertices = [(1, q0)]
+                    for qi, w in active:
+                        step = qi * w
+                        vertices = [(-s, x - step) for s, x in vertices] + [
+                            (s, x + step) for s, x in vertices
+                        ]
+                e = m + n
+                part = 0
+                for sign, value in vertices:
+                    if value > a:
+                        part += sign * (value - a) ** e
+                if not m:
+                    part *= n + 1
+                parts[(a, m)] = part
+            pos += c * part
+        num = flat * pos
+        if below:
+            num += below * den * flat * math.prod(2 * w for _, w in active)
+        nums.append(num if den > 0 else -num)
+    return nums, abs(den)
+
+
 def _abs_linear_integral(q0, q, half) -> tuple:
     """Exact integral of |q0 + q.v| over the box prod [-half_i, half_i], as
-    (num, den) with den > 0.
+    (num, den) with den > 0: 2 int(L_+) - int(L), with int(L) = q0 times the
+    volume on the centered box."""
+    (num,), den = _truncated_power_integral(q0, q, half, ((2, 0, 1),))
+    return num - q0 * math.prod(2 * w for w in half) * den, den
 
-    It is 2 * int(L_+) - int(L).  The positive part integrates by the vertex
-    formula sum_v (prod s_i) (q0 + q.v)_+^(n+1) / ((n+1)! prod q_i), with
-    s_i = +1 at the upper and -1 at the lower end of axis i, over the n axes
-    with q_i != 0; an axis with q_i = 0 integrates out as a factor 2 half_i.
-    Exact for integers and Fractions alike.
+
+def _sublevel_terms(thr, rho) -> tuple:
+    """Truncated-power terms (c, a, m) of the sublevel model bounds
+    g_lo(s) = (|s| - rho)_+ 1{|s| <= thr - rho} and
+    g_hi(s) = (|s| + rho) 1{|s| <= thr - rho} + thr 1{thr - rho < |s| <= thr + rho}:
+    if |p - L| <= rho then g_lo(L) <= |p| 1{|p| <= thr} <= g_hi(L).
+
+    g_hi breaks at -+(thr + rho), -+(thr - rho) and 0; g_lo at -+(thr - rho)
+    and -+rho, and vanishes once thr - rho <= rho.  Both are read with
+    Heavisides open on the left, which differs from g only where L is at a
+    breakpoint: a null set unless L is constant (``_sublevel_g``).
     """
-    active = [(qi, w) for qi, w in zip(q, half) if qi]
-    flat = math.prod(2 * w for qi, w in zip(q, half) if not qi)
-    n = len(active)
-    den = math.factorial(n + 1) * math.prod(qi for qi, _ in active)
-    pos = 0
-    for signs in product((-1, 1), repeat=n):
-        value = q0 + sum(s * qi * w for s, (qi, w) in zip(signs, active))
-        if value > 0:
-            pos += math.prod(signs) * value ** (n + 1)
-    volume = flat * math.prod(2 * w for _, w in active)
-    num = 2 * flat * pos - q0 * volume * den
-    return (num, den) if den > 0 else (-num, -den)
+    outer = thr + rho
+    if thr <= rho:
+        return (), ((thr, -outer, 0), (-thr, outer, 0))
+    inner = thr - rho
+    hi = ((thr, -outer, 0), (-1, -inner, 1), (2, 0, 1), (-1, inner, 1), (-thr, outer, 0))
+    if inner <= rho:
+        return (), hi
+    jump = inner - rho
+    lo = (
+        (jump, -inner, 0),
+        (-1, -inner, 1),
+        (1, -rho, 1),
+        (1, rho, 1),
+        (-1, inner, 1),
+        (-jump, inner, 0),
+    )
+    return lo, hi
+
+
+def _sublevel_g(s, thr, rho) -> tuple:
+    """(g_lo(s), g_hi(s)) of ``_sublevel_terms`` at one value s."""
+    a = abs(s)
+    if a <= thr - rho:
+        return max(a - rho, 0), a + rho
+    return 0, (thr if a <= thr + rho else 0)
 
 
 def _interval_num(monos, degree: int, lo_num, hi_num, k: int) -> tuple[int, int]:
@@ -603,15 +750,22 @@ def spectral_measure(
     With ``threshold`` set, integrates over the sublevel part
     {|det_b| <= threshold} of the region instead.  Boxes with constant sign
     (and certified level-set status) are integrated exactly as polynomials;
-    the remaining boxes contribute a rational bracket.  A straddling box's
-    bracket is [|integral of p|, min(vol max|p|, |integral of p| +
-    2 vol min(max p, -min p))] from interval bounds; in plain mode it is
-    intersected with the second-order bracket (integral of |L|) +- rho vol of
-    the box's linear Taylor model L and remainder rho.
+    the remaining boxes contribute a rational bracket.  A zero-set
+    straddling box's first-order bracket is [|integral of p|,
+    min(vol max|p|, |integral of p| + 2 vol min(max p, -min p))] from
+    interval bounds, and [0, vol min(threshold, max|p|)] for a box across
+    the level set.  Each is intersected with a second-order bracket from the
+    box's linear Taylor model L and remainder rho: (integral of |L|) +-
+    rho vol in plain mode, and [integral of g_lo(L), integral of g_hi(L)] in
+    sublevel mode, with g_lo(s) = (|s| - rho)_+ 1{|s| <= threshold - rho}
+    and g_hi(s) = (|s| + rho) 1{|s| <= threshold - rho} +
+    threshold 1{threshold - rho < |s| <= threshold + rho}, both integrated
+    exactly as sums of truncated powers of L.
 
     The box with the widest float width proxy is refined first, until the
-    proxies sum to at most 0.6 tol in plain mode, where the second-order
-    proxy is tight, and 0.9 tol in sublevel mode.  Exact integrals and
+    proxies sum to at most 0.6 tol: in plain mode the smaller of the
+    first- and second-order widths, in sublevel mode the width of the box's
+    exact bracket, computed when the box is pushed.  Exact integrals and
     brackets are then summed as integer numerators per region and depth
     (second-order brackets rounded outward onto the dyadic grid of the next
     depth), and become one Fraction per region at the end, so float rounding
@@ -629,12 +783,21 @@ def spectral_measure(
 
     regions = region.region()
     scaled_list = [_ScaledPoly(det_b, lo, hi) for lo, hi in regions]
+    thr_den = 1 if threshold is None else threshold.denominator
+    # second-order brackets are rounded outward onto the grid of depth k+1, or
+    # deeper where its step exceeds 2**-30 tol: the rounding of every open box
+    # together then stays far below tol, also where a linear p leaves boxes
+    # open at shallow depth with no remainder to refine
+    fine = [scaled.grid_depth(tol_frac / (1 << 30)) for scaled in scaled_list]
 
     witness: tuple | None = None
     boxes_processed = 0
     max_depth = 0
     counter = 0
-    heap: list = []          # open boxes: (-width_proxy, counter, ridx, lo, hi, k, mn, mx, se, rho)
+    # open boxes: (-width_proxy, counter, ridx, lo, hi, k, mn, mx, se, rho) in
+    # plain mode; (-width, counter, ridx, lo, hi, k, depth, lower, upper) in
+    # sublevel mode, with the box's exact bracket at the depth given
+    heap: list = []
     # exact |integral| of the sign-resolved boxes, per region and depth k, as
     # numerators over den * int_lcm * 2**(k*int_exp)
     resolved: list[dict[int, int]] = [{} for _ in regions]
@@ -646,39 +809,52 @@ def spectral_measure(
         scaled = scaled_list[ridx]
         mn, mx, se = scaled.bounds(lo_num, hi_num, k)
         max_depth = max(max_depth, k)
+        inside = True
         if threshold is not None:
             # mx <= threshold * den * 2**se, on integers
             rhs = threshold.numerator * scaled.den << se
-            inside = mx * threshold.denominator <= rhs and mn * threshold.denominator >= -rhs
-            outside = mn * threshold.denominator > rhs or mx * threshold.denominator < -rhs
-            if outside:
+            inside = mx * thr_den <= rhs and mn * thr_den >= -rhs
+            if mn * thr_den > rhs or mx * thr_den < -rhs:
                 return
-            if not inside:
-                vol_f = scaled.box_volume_f * scaled.dyadic_volume_f(lo_num, hi_num, k)
-                den_all = float(scaled.den) * float(1 << se)
-                w = vol_f * min(float(threshold), max(abs(mn), abs(mx)) / den_all)
-                counter += 1
-                heapq.heappush(heap, (-w, counter, ridx, lo_num, hi_num, k, mn, mx, se, None))
-                total_width += w
-                return
-        if mn >= 0 or mx <= 0:
+        if inside and (mn >= 0 or mx <= 0):
             if threshold is not None and witness is None and (mn > 0 or mx < 0):
                 witness = _to_region_box(regions, ridx, lo_num, hi_num, k)
             iv = scaled.integral_num(lo_num, hi_num, k)
             acc = resolved[ridx]
             acc[k] = acc.get(k, 0) + (iv if mn >= 0 else -iv)
             return
-        # straddling: bracket width is at most 2 vol min(mx, -mn), and in plain
-        # mode at most 2 vol rho for the linear model's remainder rho
-        vol_f = scaled.box_volume_f * scaled.dyadic_volume_f(lo_num, hi_num, k)
-        den_all = float(scaled.den) * float(1 << se)
-        w = vol_f * 2.0 * (min(mx, -mn) / den_all)
-        rho = None
-        if threshold is None:
-            rho = scaled.remainder_num(lo_num, hi_num, k)
-            w = min(w, vol_f * 2.0 * (rho / (scaled.den << (se + scaled.deg_total))))
+        rho = scaled.remainder_num(lo_num, hi_num, k)
         counter += 1
-        heapq.heappush(heap, (-w, counter, ridx, lo_num, hi_num, k, mn, mx, se, rho))
+        if threshold is None:
+            # straddling: bracket width is at most 2 vol min(mx, -mn), and at
+            # most 2 vol rho for the linear model's remainder rho
+            vol_f = scaled.box_volume_f * scaled.dyadic_volume_f(lo_num, hi_num, k)
+            w = vol_f * 2.0 * (min(mx, -mn) / (float(scaled.den) * float(1 << se)))
+            w = min(w, vol_f * 2.0 * (rho / (scaled.den << (se + scaled.deg_total))))
+            heapq.heappush(heap, (-w, counter, ridx, lo_num, hi_num, k, mn, mx, se, rho))
+            total_width += w
+            return
+        # sublevel: the first-order bracket, [|integral of p|, cap] inside the
+        # level set and [0, vol min(threshold, max|p|)] across it, intersected
+        # with the second-order one; dyadic box volume over 2**(k*nvars),
+        # times int_lcm, takes bounds over den * 2**se onto the integral
+        # denominator
+        vol = scaled.int_lcm * math.prod(h - l for l, h in zip(lo_num, hi_num))
+        if inside:
+            lb = abs(scaled.integral_num(lo_num, hi_num, k))
+            lower = lb * thr_den
+            upper = min(vol * max(mx, -mn), lb + 2 * vol * min(mx, -mn)) * thr_den
+        else:
+            lower = 0
+            upper = vol * min(rhs, max(mx, -mn) * thr_den)
+        depth = max(k + 1, fine[ridx])
+        lo2, hi2 = scaled.sublevel_bracket_num(lo_num, hi_num, k, depth, rho, threshold)
+        shift = (depth - k) * scaled.int_exp
+        lower = max(lower << shift, lo2)
+        upper = min(upper << shift, hi2)
+        unit = scaled.den * scaled.int_lcm * thr_den << (depth * scaled.int_exp)
+        w = (upper - lower) / unit * scaled.box_volume_f
+        heapq.heappush(heap, (-w, counter, ridx, lo_num, hi_num, k, depth, lower, upper))
         total_width += w
 
     lo0 = (0,) * nv
@@ -686,45 +862,35 @@ def spectral_measure(
     for ridx in range(len(regions)):
         push(ridx, lo0, hi0, 0)
 
-    # the second-order proxy is tight, so plain mode ends near its target
-    target = (0.6 if threshold is None else 0.9) * float(tol_frac)
+    # the second-order proxies are tight, so refinement ends near its target
+    target = 0.6 * float(tol_frac)
     while heap and total_width > target and boxes_processed < max_boxes:
-        neg_w, _, ridx, lo_num, hi_num, k, _, _, _, _ = heapq.heappop(heap)
-        total_width += neg_w
+        entry = heapq.heappop(heap)
+        total_width += entry[0]
         boxes_processed += 1
+        ridx, lo_num, hi_num, k = entry[2:6]
         for clo, chi, ck in _split_box(lo_num, hi_num, k):
             push(ridx, clo, chi, ck)
 
     # exact closing sweep on integers: per region, a depth-k numerator is over
     # den * int_lcm * thr_den * 2**(k*int_exp); sign-resolved boxes add their
     # integrals, open boxes their brackets
-    thr_den = 1 if threshold is None else threshold.denominator
-    # second-order brackets are rounded outward onto the grid of depth k+1, or
-    # deeper where its step exceeds 2**-30 tol: the rounding of every open box
-    # together then stays far below tol, also where a linear p leaves boxes
-    # open at shallow depth with no remainder to refine
-    fine = [scaled.grid_depth(tol_frac / (1 << 30)) for scaled in scaled_list]
     lower_acc = [{k: v * thr_den for k, v in acc.items()} for acc in resolved]
     upper_acc = [dict(acc) for acc in lower_acc]
-    for _, _, ridx, lo_num, hi_num, k, mn, mx, se, rho in heap:
-        scaled = scaled_list[ridx]
+    for entry in heap:
+        ridx = entry[2]
         lo_acc = lower_acc[ridx]
         hi_acc = upper_acc[ridx]
-        # dyadic box volume over 2**(k*nvars), times int_lcm: bounds over
-        # den * 2**se then land on the integral denominator
-        vol = scaled.int_lcm * math.prod(h - l for l, h in zip(lo_num, hi_num))
         if threshold is not None:
-            rhs = threshold.numerator * scaled.den << se
-            if not (mx * thr_den <= rhs and mn * thr_den >= -rhs):
-                # [0, vol * min(threshold, max|p|)]
-                hi_acc[k] = hi_acc.get(k, 0) + vol * min(rhs, max(mx, -mn) * thr_den)
-                continue
+            _, _, _, _, _, _, depth, lo2, hi2 = entry
+            lo_acc[depth] = lo_acc.get(depth, 0) + lo2
+            hi_acc[depth] = hi_acc.get(depth, 0) + hi2
+            continue
+        _, _, _, lo_num, hi_num, k, mn, mx, se, rho = entry
+        scaled = scaled_list[ridx]
+        vol = scaled.int_lcm * math.prod(h - l for l, h in zip(lo_num, hi_num))
         lb = abs(scaled.integral_num(lo_num, hi_num, k))
         cap = min(vol * max(mx, -mn), lb + 2 * vol * min(mx, -mn))
-        if threshold is not None:
-            lo_acc[k] = lo_acc.get(k, 0) + lb * thr_den
-            hi_acc[k] = hi_acc.get(k, 0) + cap * thr_den
-            continue
         # plain mode: intersect with the second-order bracket
         depth = max(k + 1, fine[ridx])
         lo2, hi2 = scaled.linear_bracket_num(lo_num, hi_num, k, depth, rho)

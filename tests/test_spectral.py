@@ -6,13 +6,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nilframe.algebra import load_spec
 from nilframe.errors import CertificationError
 from nilframe.polynomial import SpectralPolynomial, determinant
 from nilframe.spectral import (
     SpectrumBox,
     _abs_linear_integral,
     _ScaledPoly,
+    _sublevel_g,
+    _sublevel_terms,
+    _truncated_power_integral,
     block_structure_holds,
     build_matrices,
     density_polynomial,
@@ -22,7 +28,7 @@ from nilframe.spectral import (
     sup_density,
 )
 
-from conftest import random_valid_spec
+from conftest import EXAMPLE2_DOC, EXAMPLE3_DOC, random_valid_spec
 
 
 def poly(nvars, terms):
@@ -365,6 +371,241 @@ class TestLinearModelRemainder:
         assert scaled.remainder_num((1, 2), (3, 3), 2) == 0
 
 
+def truncated_power_sum(terms, s):
+    """sum c (s - a)_+^m at one value s, with (x)_+^0 = 1 for x > 0."""
+    return sum(c * (s - a) ** m for c, a, m in terms if s > a)
+
+
+def random_terms(rng, q0, reach, count):
+    """Random (c, a, m) with breakpoints inside and around the range of L."""
+    return [
+        (
+            rng.choice([-2, -1, 1, 3]),
+            q0 + reach * random_rational(rng, -5, 5, 4) / 4,
+            rng.choice([0, 1]),
+        )
+        for _ in range(count)
+    ]
+
+
+class TestTruncatedPowerIntegral:
+    """The vertex formula for sum c (q0 + q.v - a)_+^m over [-half, half]."""
+
+    def test_d1_closed_form(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            q0, (qa,), (w,) = random_linear_data(rng, 1)
+            if not qa:
+                continue
+            (c, a, m), = random_terms(rng, q0, abs(qa) * w, 1)
+            # L > a on v > cut for qa > 0, on v < cut for qa < 0
+            cut = (a - q0) / qa
+            lo_v, hi_v = (max(cut, -w), w) if qa > 0 else (-w, min(cut, w))
+            length = max(hi_v - lo_v, 0)
+            mean = q0 + qa * (lo_v + hi_v) / 2 - a  # of L - a over that part
+            expected = c * length * (mean if m else 1)
+            (num,), den = _truncated_power_integral(q0, [qa], [w], [(c, a, m)])
+            assert den > 0
+            assert Fraction(num) / den == expected
+
+    @pytest.mark.parametrize("d, n", [(2, 160), (3, 32)])
+    def test_matches_midpoint_quadrature(self, d, n):
+        rng = random.Random(600 + d)
+        for _ in range(6):
+            q0, q, half = random_linear_data(rng, d)
+            reach = sum(abs(a) * w for a, w in zip(q, half)) or Fraction(1)
+            terms = random_terms(rng, q0, reach, 3)
+            cell = math.prod(2 * float(w) / n for w in half)
+            grids = [[float(w) * (2 * (i + 0.5) / n - 1) for i in range(n)] for w in half]
+            fterms = [(c, float(a), m) for c, a, m in terms]
+            quad = cell * sum(
+                truncated_power_sum(fterms, float(q0) + sum(float(a) * x for a, x in zip(q, pt)))
+                for pt in itertools.product(*grids)
+            )
+            (num,), den = _truncated_power_integral(q0, q, half, terms)
+            exact = float(Fraction(num) / den)
+            # a jump of c costs at most |c| times the volume of the cells it
+            # cuts, about d/n of the box; a kink far less
+            vol = math.prod(2 * float(w) for w in half)
+            bound = sum(abs(c) * (1 if m == 0 else float(reach) / n) for c, _, m in terms)
+            assert abs(quad - exact) <= 2 * d * vol * bound / n
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_axis_integrates_out(self, d):
+        rng = random.Random(700 + d)
+        for _ in range(40):
+            q0, q, half = random_linear_data(rng, d - 1)
+            terms = random_terms(rng, q0, sum(abs(a) * w for a, w in zip(q, half)) + 1, 4)
+            w = random_rational(rng, 1, 4)
+            axis = rng.randint(0, d - 1)
+            (num,), den = _truncated_power_integral(
+                q0, q[:axis] + [Fraction(0)] + q[axis:], half[:axis] + [w] + half[axis:], terms
+            )
+            (num1,), den1 = _truncated_power_integral(q0, q, half, terms)
+            assert Fraction(num) / den == 2 * w * Fraction(num1) / den1
+
+    def test_constant_model_reads_heavisides_open(self):
+        half = [Fraction(1), Fraction(3, 2)]
+        terms = [(2, 1, 0), (5, 3, 0), (1, -2, 1)]  # at q0 = 3: 2 + 0 + 5
+        (num,), den = _truncated_power_integral(3, [0, 0], half, terms)
+        assert Fraction(num) / den == 7 * 6
+
+
+class TestSublevelBracket:
+    """g_lo(L) <= |p| 1{|p| <= T} <= g_hi(L) for the box's linear model L and
+    remainder rho, and the measure built on their exact integrals."""
+
+    def test_terms_match_the_model_bounds(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            rho = rng.randint(0, 40)
+            thr = rng.choice([rng.randint(1, max(rho, 1)), rho, 2 * rho, rng.randint(1, 200)])
+            lo_terms, hi_terms = _sublevel_terms(thr, rho)
+            jumps = {thr + rho, thr - rho}
+            for s in range(-(thr + rho) - 3, thr + rho + 4):
+                if abs(s) in jumps:
+                    continue  # the terms read a jump open on the left
+                g_lo, g_hi = _sublevel_g(s, thr, rho)
+                assert truncated_power_sum(lo_terms, s) == g_lo
+                assert truncated_power_sum(hi_terms, s) == g_hi
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_model_bounds_the_clipped_density_pointwise(self, nvars):
+        rng = random.Random(800 + nvars)
+        monos = [m for m in itertools.product(range(4), repeat=nvars) if sum(m) <= 3]
+        for _ in range(12):
+            p = poly(nvars, {m: random_rational(rng, -4, 4) for m in rng.sample(monos, min(5, len(monos)))})
+            lo = [random_rational(rng, 0, 3) for _ in range(nvars)]
+            hi = [x + random_rational(rng, 1, 2) for x in lo]
+            scaled = _ScaledPoly(p, lo, hi)
+            D = scaled.deg_total
+            k = rng.randint(0, 4)
+            lo_num = tuple(rng.randint(0, (1 << k) - 1) for _ in range(nvars))
+            hi_num = tuple(x + rng.randint(1, (1 << k) - x) for x in lo_num)
+            rho = scaled.remainder_num(lo_num, hi_num, k)
+            rho_p = Fraction(rho, scaled.den << ((k + 1) * D))  # rho in units of p
+            j = rng.randint(0, 3)
+            center = [(l + h) << j for l, h in zip(lo_num, hi_num)]
+            ends = [(l << (j + 1), h << (j + 1)) for l, h in zip(lo_num, hi_num)]
+            points = list(itertools.product(*ends))
+            points += [[rng.randint(a, b) for a, b in ends] for _ in range(20)]
+            sample = max(abs(scaled.value_num(x, k + 1 + j)) for x in points)
+            sample_p = Fraction(sample, scaled.den << ((k + 1 + j) * D))
+            thresholds = [rho_p * r for r in (Fraction(1, 3), 1, Fraction(3, 2), 2, 3)]
+            thresholds += [sample_p * random_rational(rng, 1, 4, 8) / 4 for _ in range(3)]
+            for threshold in thresholds:
+                if threshold <= 0:
+                    continue
+                q0, q, rho_m, thr = scaled.sublevel_model(lo_num, hi_num, k, rho, threshold)
+                # every value at depth k+1+j: the model's units times 2**(j*D)
+                thr_j, rho_j = thr << (j * D), rho_m << (j * D)
+                lo_terms, hi_terms = _sublevel_terms(thr_j, rho_j)
+                for x in points:
+                    p_num = scaled.value_num(x, k + 1 + j) * threshold.denominator
+                    clipped = abs(p_num) if abs(p_num) <= thr_j else 0
+                    s = (q0 << (j * D)) + sum(
+                        a * (xi - c) << (j * (D - 1)) for a, xi, c in zip(q, x, center)
+                    )
+                    g_lo, g_hi = _sublevel_g(s, thr_j, rho_j)
+                    assert g_lo <= clipped <= g_hi
+                    if abs(s) not in (thr_j + rho_j, thr_j - rho_j):
+                        assert truncated_power_sum(lo_terms, s) <= clipped
+                        assert clipped <= truncated_power_sum(hi_terms, s)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_box_bracket_is_the_exact_integral_rounded_outward(self, nvars):
+        rng = random.Random(900 + nvars)
+        monos = [m for m in itertools.product(range(4), repeat=nvars) if sum(m) <= 3]
+        for _ in range(20):
+            p = poly(nvars, {m: random_rational(rng, -4, 4) for m in rng.sample(monos, min(5, len(monos)))})
+            scaled = _ScaledPoly(p, [Fraction(0)] * nvars, [Fraction(1)] * nvars)
+            k = rng.randint(0, 3)
+            lo_num = tuple(rng.randint(0, (1 << k) - 1) for _ in range(nvars))
+            hi_num = tuple(x + 1 for x in lo_num)
+            rho = scaled.remainder_num(lo_num, hi_num, k)
+            threshold = random_rational(rng, 1, 6, 7)
+            depth = k + 1 + rng.randint(0, 2)
+            lower, upper = scaled.sublevel_bracket_num(lo_num, hi_num, k, depth, rho, threshold)
+            q0, q, rho_m, thr = scaled.sublevel_model(lo_num, hi_num, k, rho, threshold)
+            half = [h - l for l, h in zip(lo_num, hi_num)]
+            lo_terms, hi_terms = _sublevel_terms(thr, rho_m)
+            if any(q):
+                # one list per call: the bracket's shared call must agree
+                (num_lo,), den = _truncated_power_integral(q0, q, half, lo_terms)
+                (num_hi,), _ = _truncated_power_integral(q0, q, half, hi_terms)
+                exact_lo, exact_hi = Fraction(num_lo, den), Fraction(num_hi, den)
+            else:
+                vol = math.prod(2 * w for w in half)
+                exact_lo, exact_hi = (g * vol for g in _sublevel_g(q0, thr, rho_m))
+            # the model's units onto the integral grid of the given depth
+            scale = scaled.int_lcm << ((depth - k - 1) * scaled.int_exp)
+            assert lower <= exact_lo * scale < lower + 1
+            assert upper - 1 < exact_hi * scale <= upper
+
+    def test_linear_density_closes_with_outward_rounding(self):
+        # p = x on [0, 1] below 1/3: the model is exact, the integral 1/18
+        # is off every dyadic grid, and no box needs refining
+        p = poly(1, {(1,): 1})
+        res = spectral_measure(p, SpectrumBox(a=(Fraction(1),)), tol=1e-6, threshold=Fraction(1, 3))
+        assert res.lower < Fraction(1, 18) < res.upper
+        assert res.certificate.boxes == 0
+        assert res.width <= Fraction(1, 10**6) / 2**28
+
+    def test_shifted_parabola_closed_form(self):
+        # |x^2 - 1| <= 3 on [0, 3] is x <= 2, and the integral there is 2
+        p = poly(1, {(2,): 1, (0,): -1})
+        res = spectral_measure(p, SpectrumBox(a=(Fraction(3),)), tol=1e-4, threshold=Fraction(3))
+        assert res.lower <= 2 <= res.upper
+        assert res.certificate.converged and float(res.width) <= 1e-4
+
+    @pytest.mark.parametrize("threshold", [Fraction(9), Fraction(10)])
+    def test_example2_threshold_at_or_above_sup(self, example2, threshold):
+        det_b = density_polynomial(example2)
+        box = SpectrumBox(a=(Fraction(2), Fraction(3)))
+        res = spectral_measure(det_b, box, tol=1e-3, threshold=threshold)
+        assert res.lower <= Fraction(46, 3) <= res.upper
+
+    @pytest.mark.parametrize("threshold", [Fraction(2), Fraction(3)])
+    def test_example3_threshold_at_or_above_sup(self, example3, threshold):
+        det_b = density_polynomial(example3)
+        box = SpectrumBox(a=(Fraction(1),) * 3)
+        res = spectral_measure(det_b, box, tol=2e-2, threshold=threshold)
+        assert res.lower <= Fraction(3, 8) <= res.upper
+
+    def test_first_order_box_counts_beaten(self, example3):
+        # the first-order bracket took 12,527 boxes here; the sublevel band's
+        # second-order bracket needs a few hundred
+        det_b = density_polynomial(example3)
+        res = spectral_measure(
+            det_b, SpectrumBox(a=(Fraction(1),) * 3), tol=5e-2, threshold=Fraction(1)
+        )
+        assert res.certificate.boxes <= 2000
+        assert res.lower > 0 and res.witness_box is not None
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sublevel_brackets_closed_forms_on_scaled_boxes(seed):
+    # at or above the sup the sublevel is the whole box: example2 on
+    # [0, 2s] x [0, 3s] integrates to 46/3 s^4 (sup 9 s^2), example3 on
+    # [0, t]^3 to 3/8 t^6 (sup 2 t^3); x^2 - u^2 on [0, 3u] below 3 u^2 is
+    # x <= 2u, where it integrates to 2 u^3
+    rng = random.Random(seed)
+    s, t, u = (Fraction(rng.randint(4, 24), rng.randint(4, 16)) for _ in range(3))
+    over = Fraction(rng.randint(8, 12), 8)
+    cases = [
+        (density_polynomial(load_spec(EXAMPLE2_DOC)), (2 * s, 3 * s), 9 * s**2 * over,
+         Fraction(46, 3) * s**4, 1e-3 * float(s) ** 4),
+        (density_polynomial(load_spec(EXAMPLE3_DOC)), (t, t, t), 2 * t**3 * over,
+         Fraction(3, 8) * t**6, 2e-2 * float(t) ** 6),
+        (poly(1, {(2,): 1, (0,): -u**2}), (3 * u,), 3 * u**2, 2 * u**3, 1e-4 * float(u) ** 3),
+    ]
+    for det_b, a, threshold, exact, tol in cases:
+        res = spectral_measure(det_b, SpectrumBox(a=a), tol=tol, threshold=threshold)
+        assert res.lower <= exact <= res.upper
+        assert res.certificate.converged and float(res.width) <= tol
+
+
 class TestGoldenCertificates:
     """Exact brackets pinned bit for bit: a change to the certified arithmetic
     must return the same rationals, box counts and depths."""
@@ -396,10 +637,18 @@ class TestGoldenCertificates:
         )
         res = spectral_measure(det_b, box, tol=1e-2, threshold=Fraction(9, 2), strict=False)
         out = res.as_dict()
-        assert out["lower"] == "219922305648257/35184372088832"
-        assert out["upper"] == "220236304230017/35184372088832"
-        assert (out["boxes"], out["depth"], out["converged"]) == (12770, 23, True)
+        assert out["lower"] == "168952644593818733/27021597764222976"
+        assert out["upper"] == "56371490920467731/9007199254740992"
+        assert (out["boxes"], out["depth"], out["converged"]) == (323, 12, True)
         assert out["witness_box"] == [["3/4", "3/2"], ["1", "9/4"]]
+        # the second-order bracket: never wider than the first-order golden
+        # (12770 boxes, depth 23) it replaced, and meeting it
+        old_lower = Fraction(219922305648257, 35184372088832)
+        old_upper = Fraction(220236304230017, 35184372088832)
+        assert res.width <= old_upper - old_lower
+        assert max(res.lower, old_lower) <= min(res.upper, old_upper)
+        lo, hi = res.witness_box
+        assert 0 < eval_density(det_b, [(l + h) / 2 for l, h in zip(lo, hi)]) <= Fraction(9, 2)
 
     def test_example3_sup(self, example3):
         det_b = density_polynomial(example3)
