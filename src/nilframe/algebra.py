@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import RankDeficiencyError, SchemaError
-from .intlattice import mat_mul
 from .polynomial import generic_rank
 from .rationals import parse_rational_vector
 
@@ -286,23 +285,20 @@ def validate_class(spec: LieAlgebraSpec) -> ValidationReport:
             )
         )
 
-    # adjoint nilpotency on the canonical generators +-X_k
-    ad_ok = True
+    # adjoint nilpotency on the canonical generators +-X_k, applying ad(X_k)
+    # twice to each basis vector; ad(-X) = -ad(X) gives -X_k the same verdict
     ad_detail = []
     for k in range(spec.d):
-        for sign in (1, -1):
-            w = [Fraction(0)] * spec.n
-            w[spec.x_index(k)] = Fraction(sign)
-            mat = ad_matrix(spec, w)
-            nonzero = any(any(c != 0 for c in row) for row in mat)
-            sq = mat_mul(mat, mat)
-            square_zero = all(all(c == 0 for c in row) for row in sq)
+        w = basis_vector(spec, spec.x_index(k))
+        images = [bracket(spec, w, basis_vector(spec, j)) for j in range(spec.n)]
+        nonzero = any(any(u) for u in images)
+        square_zero = not any(any(bracket(spec, w, u)) for u in images if any(u))
+        for name in (f"X{k + 1}", f"-X{k + 1}"):
             if not nonzero:
-                ad_ok = False
-                ad_detail.append(f"ad({'-' if sign < 0 else ''}X{k + 1}) = 0")
+                ad_detail.append(f"ad({name}) = 0")
             if not square_zero:
-                ad_ok = False
-                ad_detail.append(f"ad({'-' if sign < 0 else ''}X{k + 1})^2 != 0")
+                ad_detail.append(f"ad({name})^2 != 0")
+    ad_ok = not ad_detail
     checks.append(
         CheckResult(
             "adjoint_nilpotent",

@@ -117,7 +117,7 @@ def _stage_design(
         box,
         measure_tol=config.spectrum.sublevel_tol,
     )
-    predicted_norm_sq = mu.value / float(params.prod_q * params.prod_b * params.prod_a)
+    predicted_norm_sq = mu.value / float(params.covolume)
     report["design"] = {
         "params": params.as_dict(),
         "predicted_generator_norm_sq": predicted_norm_sq,

@@ -60,6 +60,11 @@ class QuasiLatticeParams:
     def prod_bq(self) -> Fraction:
         return self.prod_b * self.prod_q
 
+    @property
+    def covolume(self) -> Fraction:
+        """prod(a) prod(b) prod(q); one for a discretizable wavelet."""
+        return self.prod_a * self.prod_bq
+
     def as_dict(self) -> dict:
         return {
             "a": [format_rational(x) for x in self.a],
@@ -122,7 +127,7 @@ def fiber_lattice(
         for i in range(d)
     )
     det_b_val = mats.det_b.evaluate(lam)
-    volume = abs(det_b_val) / (params.prod_b * params.prod_q)
+    volume = abs(det_b_val) / params.prod_bq
     cross = abs(mat_det(trans) * mat_det(mod))
     assert cross == volume, "fiber volume identity violated"
     return FiberGaborLattice(
@@ -234,7 +239,7 @@ def check_onb_condition(
     prod(a) * prod(q b).  On failure, reports the uniform q that would close
     the equality with everything else held fixed, and whether that q is
     compatible with the density condition."""
-    target = params.prod_a * params.prod_bq
+    target = params.covolume
     if isinstance(mu_box, MeasureResult):
         mu_lo, mu_hi = mu_box.lower, mu_box.upper
         mu_val = mu_box.value
@@ -314,7 +319,7 @@ def check_necessary_bounds(
         if isinstance(mu_box, MeasureResult)
         else (Fraction(mu_box), Fraction(mu_box))
     )
-    bound = params.prod_q * params.prod_b * params.prod_a
+    bound = params.covolume
     measure_ok = mu_hi <= bound
     subs.append(
         ConditionReport(
@@ -402,7 +407,7 @@ def check_wavelet_discretization(
     verdict: that mass equals one within tol (the basis case).
     """
     det_b = density_polynomial(spec)
-    product = params.prod_b * params.prod_q * params.prod_a
+    product = params.covolume
     product_ok = product == 1
     sub = spectral_measure(
         det_b,

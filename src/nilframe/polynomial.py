@@ -3,7 +3,8 @@
 The spectral layer manipulates small polynomial matrices whose entries are
 degree-one forms in the central coordinates; determinants and identities are
 checked exactly, so coefficients are ``Fraction`` throughout and no float ever
-enters an algebraic identity.
+enters an algebraic identity.  One fraction-free elimination with full
+pivoting (``_bareiss``) gives both the determinant and the generic rank.
 """
 
 from __future__ import annotations
@@ -293,94 +294,64 @@ def exact_divide(num: SpectralPolynomial, den: SpectralPolynomial) -> SpectralPo
 
 
 def determinant(matrix: Sequence[Sequence[SpectralPolynomial]]) -> SpectralPolynomial:
-    """Exact determinant of a square polynomial matrix.
-
-    Cofactor expansion up to 4x4; Bareiss fraction-free elimination beyond,
-    where every division is exact by construction.
-    """
+    """Exact determinant of a square polynomial matrix: the last pivot of
+    ``_bareiss``, signed by its row and column swaps, and zero below full
+    rank."""
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    nvars = matrix[0][0].nvars
-    if n <= 4:
-        return _det_cofactor([list(row) for row in matrix])
-    work = [list(row) for row in matrix]
-    sign = 1
-    prev = SpectralPolynomial.constant(nvars, 1)
-    for k in range(n - 1):
-        if work[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not work[r][k].is_zero()), None)
-            if pivot_row is None:
-                return SpectralPolynomial(nvars)
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = work[i][j] * work[k][k] - work[i][k] * work[k][j]
-                work[i][j] = exact_divide(num, prev)
-            work[i][k] = SpectralPolynomial(nvars)
-        prev = work[k][k]
-    result = work[n - 1][n - 1]
-    return -result if sign < 0 else result
-
-
-def _det_cofactor(m: list[list[SpectralPolynomial]]) -> SpectralPolynomial:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    nvars = m[0][0].nvars
-    total = SpectralPolynomial(nvars)
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        sub = [row[:j] + row[j + 1 :] for row in m[1:]]
-        cof = m[0][j] * _det_cofactor(sub)
-        total = total + (cof if j % 2 == 0 else -cof)
-    return total
+    rank, sign, pivot = _bareiss(matrix)
+    if rank < n:
+        return SpectralPolynomial(matrix[0][0].nvars)
+    return pivot if sign > 0 else -pivot
 
 
 def generic_rank(matrix: Sequence[Sequence[SpectralPolynomial]]) -> int:
-    """Rank over the field of rational functions, by fraction-free elimination.
+    """Rank over the field of rational functions: the number of pivots of
+    ``_bareiss``.  No sampling, so a measure-zero unlucky point set cannot
+    produce a false answer."""
+    return _bareiss(matrix)[0]
 
-    Full row and column pivoting on nonzero polynomial entries; no sampling,
-    so a measure-zero unlucky point set cannot produce a false answer.
+
+def _bareiss(
+    matrix: Sequence[Sequence[SpectralPolynomial]],
+) -> tuple[int, int, SpectralPolynomial | None]:
+    """Fraction-free elimination with full row and column pivoting.
+
+    Returns (rank, sign, pivot): sign is -1 to the number of swaps and pivot
+    the last nonzero pivot (None for the zero matrix).  After step r the
+    pivot is the leading (r+1)-minor of the permuted matrix (Bareiss 1968),
+    so every update divides exactly by the previous pivot, and at full rank
+    a square matrix's determinant is sign * pivot.
     """
     rows = len(matrix)
-    if rows == 0:
-        return 0
-    cols = len(matrix[0])
-    nvars = matrix[0][0].nvars
+    cols = len(matrix[0]) if rows else 0
     work = [list(row) for row in matrix]
-    prev = SpectralPolynomial.constant(nvars, 1)
+    sign = 1
+    prev = None
     rank = 0
-    r = 0
-    while r < rows and rank < cols:
-        pivot = None
-        for i in range(r, rows):
-            for j in range(rank, cols):
-                if not work[i][j].is_zero():
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+    while rank < min(rows, cols):
+        pivot = next(
+            ((i, j) for i in range(rank, rows) for j in range(rank, cols) if work[i][j]), None
+        )
         if pivot is None:
             break
         pi, pj = pivot
-        work[r], work[pi] = work[pi], work[r]
+        if pi != rank:
+            work[rank], work[pi] = work[pi], work[rank]
+            sign = -sign
         if pj != rank:
             for row in work:
                 row[rank], row[pj] = row[pj], row[rank]
-        for i in range(r + 1, rows):
+            sign = -sign
+        top = work[rank]
+        for row in work[rank + 1 :]:
             for j in range(rank + 1, cols):
-                num = work[i][j] * work[r][rank] - work[i][rank] * work[r][j]
-                work[i][j] = exact_divide(num, prev)
-            work[i][rank] = SpectralPolynomial(nvars)
-        prev = work[r][rank]
+                num = row[j] * top[rank] - row[rank] * top[j]
+                row[j] = num if prev is None else exact_divide(num, prev)
+        prev = top[rank]
         rank += 1
-        r += 1
-    return rank
+    return rank, sign, prev

@@ -12,9 +12,10 @@ interval bound.  Over a sublevel region {|p| <= T} it is the exact integral
 of two piecewise linear functions of L that bound |p| 1{|p| <= T} from
 below and above; they differ only on the band where |L| is within rho of T
 or of 0, so a box across the level set closes with the band's volume, not
-with its own.  Both routines run on integer numerators over dyadic common
-denominators and build one Fraction per region for the returned bracket;
-floats only steer the refinement order.
+with its own.  One function brackets an open box in either mode, from the
+interval bounds and this model.  Both routines run on integer numerators
+over dyadic common denominators and build one Fraction per region for the
+returned bracket; floats only steer the refinement order.
 """
 
 from __future__ import annotations
@@ -261,12 +262,6 @@ class _ScaledPoly:
             num += term
         return num
 
-    def dyadic_volume_f(self, lo_num, hi_num, k) -> float:
-        prod = 1
-        for l, h in zip(lo_num, hi_num):
-            prod *= h - l
-        return prod / float(1 << (k * self.nvars))
-
     def value_num(self, num: Sequence[int], k: int) -> int:
         """P at the dyadic point num / 2**k, as a numerator over den * 2**(k*deg_total)."""
         return _value_num(self.monos, self.deg_total, num, k)
@@ -308,38 +303,39 @@ class _ScaledPoly:
         q0 = _value_num(self.monos, D, center, k + 1)
         return q0, [_value_num(deriv, D - 1, center, k + 1) for deriv in self.grad_monos]
 
-    def linear_bracket_num(self, lo_num, hi_num, k, depth: int, rho: int) -> tuple[int, int]:
-        """Integers (lower, upper) around the integral of |P| over the dyadic
-        box, as numerators over den * int_lcm * 2**(depth*int_exp) for a
-        depth > k: the exact integral of |L| plus or minus rho times the
-        volume, rounded outward; rho is ``remainder_num`` of the box.
-        """
-        q0, q = self.linear_model(lo_num, hi_num, k)
-        half = [h - l for l, h in zip(lo_num, hi_num)]
-        num, den = _abs_linear_integral(q0, q, half)
-        spread = rho * math.prod(2 * w for w in half) * den
-        return self._round_out(num - spread, num + spread, den, k, depth)
-
-    def sublevel_bracket_num(
-        self, lo_num, hi_num, k, depth: int, rho: int, threshold: Fraction
+    def model_bracket_num(
+        self, lo_num, hi_num, k, depth: int, rho: int, threshold: Fraction | None = None
     ) -> tuple[int, int]:
-        """Integers (lower, upper) around the integral of |P| over the part
-        of the dyadic box where |p| <= threshold, as numerators over
-        den * int_lcm * thr_den * 2**(depth*int_exp) for a depth > k: the
-        exact integrals of g_lo(L) and g_hi(L) (``_sublevel_terms``) for the
-        linear model L, rounded outward; rho is ``remainder_num`` of the box.
+        """The second-order bracket: integers (lower, upper) around the
+        integral of |P| over the dyadic box, or over its part where
+        |p| <= threshold, as numerators over den * int_lcm * thr_den *
+        2**(depth*int_exp) for a depth > k, with thr_den = 1 without a
+        threshold; rho is ``remainder_num`` of the box.  Without a threshold
+        it is the exact integral of |L| for the linear model L, plus or minus
+        rho times the volume; with one, the exact integrals of g_lo(L) and
+        g_hi(L) (``_sublevel_terms``).  Both are rounded outward.
         """
-        q0, q, rho, thr = self.sublevel_model(lo_num, hi_num, k, rho, threshold)
         half = [h - l for l, h in zip(lo_num, hi_num)]
-        if any(q):
-            (lower, upper), den = _truncated_power_integral(
-                q0, q, half, *_sublevel_terms(thr, rho)
-            )
+        volume = math.prod(2 * w for w in half)
+        if threshold is None:
+            q0, q = self.linear_model(lo_num, hi_num, k)
+            num, den = _abs_linear_integral(q0, q, half)
+            spread = rho * volume * den
+            lower, upper = num - spread, num + spread
         else:
-            volume = math.prod(2 * w for w in half)
-            g_lo, g_hi = _sublevel_g(q0, thr, rho)
-            lower, upper, den = g_lo * volume, g_hi * volume, 1
-        return self._round_out(lower, upper, den, k, depth)
+            q0, q, rho, thr = self.sublevel_model(lo_num, hi_num, k, rho, threshold)
+            if any(q):
+                (lower, upper), den = _truncated_power_integral(
+                    q0, q, half, *_sublevel_terms(thr, rho)
+                )
+            else:
+                g_lo, g_hi = _sublevel_g(q0, thr, rho)
+                lower, upper, den = g_lo * volume, g_hi * volume, 1
+        # (lower, upper) / den is in the model's units, v over 2**(k+1) per
+        # axis and values over den * 2**((k+1)*deg_total) (times thr_den):
+        # round outward onto the integral grid of the given depth
+        scale = self.int_lcm << ((depth - k - 1) * self.int_exp)
+        return lower * scale // den, -(-upper * scale // den)
 
     def sublevel_model(self, lo_num, hi_num, k, rho: int, threshold: Fraction) -> tuple:
         """Integers (q0, q, rho, thr) of the linear model, its remainder and
@@ -350,14 +346,6 @@ class _ScaledPoly:
         q0, q = self.linear_model(lo_num, hi_num, k)
         thr = threshold.numerator * self.den << ((k + 1) * self.deg_total)
         return q0 * thr_den, [x * thr_den for x in q], rho * thr_den, thr
-
-    def _round_out(self, lower, upper, den, k, depth) -> tuple[int, int]:
-        """A box's bracket (lower, upper) / den in its linear model's units,
-        v over 2**(k+1) per axis and values over den * 2**((k+1)*deg_total)
-        (times thr_den for a sublevel), rounded outward onto the integral
-        grid of depth > k."""
-        scale = self.int_lcm << ((depth - k - 1) * self.int_exp)
-        return lower * scale // den, -(-upper * scale // den)
 
     def grid_depth(self, step: Fraction) -> int:
         """Smallest depth whose integral grid step, box_volume over
@@ -762,11 +750,12 @@ def spectral_measure(
     threshold 1{threshold - rho < |s| <= threshold + rho}, both integrated
     exactly as sums of truncated powers of L.
 
-    The box with the widest float width proxy is refined first, until the
-    proxies sum to at most 0.6 tol: in plain mode the smaller of the
-    first- and second-order widths, in sublevel mode the width of the box's
-    exact bracket, computed when the box is pushed.  Exact integrals and
-    brackets are then summed as integer numerators per region and depth
+    The box with the widest float width is refined first, until the widths
+    sum to at most 0.6 tol: in sublevel mode the width of the box's exact
+    bracket, computed when the box is pushed; in plain mode the smaller of
+    the first- and second-order widths, and the exact bracket waits for the
+    closing sweep, which most plain boxes never reach.  Exact integrals and
+    brackets are summed as integer numerators per region and depth
     (second-order brackets rounded outward onto the dyadic grid of the next
     depth), and become one Fraction per region at the end, so float rounding
     can never corrupt the certificate; ``converged`` compares that exact
@@ -794,28 +783,49 @@ def spectral_measure(
     boxes_processed = 0
     max_depth = 0
     counter = 0
-    # open boxes: (-width_proxy, counter, ridx, lo, hi, k, mn, mx, se, rho) in
-    # plain mode; (-width, counter, ridx, lo, hi, k, depth, lower, upper) in
-    # sublevel mode, with the box's exact bracket at the depth given
+    # open boxes: (-width, counter, ridx, lo, hi, k, mn, mx, se, rho, bracket),
+    # bracket the box's exact (depth, lower, upper) from ``box_bracket``, or
+    # None for a plain box until the closing sweep
     heap: list = []
     # exact |integral| of the sign-resolved boxes, per region and depth k, as
     # numerators over den * int_lcm * 2**(k*int_exp)
     resolved: list[dict[int, int]] = [{} for _ in regions]
     total_width = 0.0
 
+    def box_bracket(ridx, lo_num, hi_num, k, mn, mx, se, rho) -> tuple[int, int, int]:
+        """An open box's exact (depth, lower, upper), as numerators over
+        den * int_lcm * thr_den * 2**(depth*int_exp) at depth max(k+1, fine):
+        the first-order bracket, [|integral of p|, cap] inside the level set
+        (all of plain mode) and [0, vol min(threshold, max|p|)] across it,
+        intersected with the second-order one."""
+        scaled = scaled_list[ridx]
+        # dyadic box volume over 2**(k*nvars), times int_lcm, takes bounds over
+        # den * 2**se onto the integral denominator
+        vol = scaled.int_lcm * math.prod(h - l for l, h in zip(lo_num, hi_num))
+        rhs = None if threshold is None else threshold.numerator * scaled.den << se
+        if rhs is None or (mx * thr_den <= rhs and mn * thr_den >= -rhs):
+            lb = abs(scaled.integral_num(lo_num, hi_num, k))
+            lower = lb * thr_den
+            upper = min(vol * max(mx, -mn), lb + 2 * vol * min(mx, -mn)) * thr_den
+        else:
+            lower = 0
+            upper = vol * min(rhs, max(mx, -mn) * thr_den)
+        depth = max(k + 1, fine[ridx])
+        lo2, hi2 = scaled.model_bracket_num(lo_num, hi_num, k, depth, rho, threshold)
+        shift = (depth - k) * scaled.int_exp
+        return depth, max(lower << shift, lo2), min(upper << shift, hi2)
+
     def push(ridx, lo_num, hi_num, k):
-        """Classify a dyadic box; integer bound arithmetic, float width proxy."""
+        """Classify a dyadic box; integer bound arithmetic, float width."""
         nonlocal witness, counter, total_width, max_depth
         scaled = scaled_list[ridx]
         mn, mx, se = scaled.bounds(lo_num, hi_num, k)
         max_depth = max(max_depth, k)
-        inside = True
-        if threshold is not None:
-            # mx <= threshold * den * 2**se, on integers
-            rhs = threshold.numerator * scaled.den << se
-            inside = mx * thr_den <= rhs and mn * thr_den >= -rhs
-            if mn * thr_den > rhs or mx * thr_den < -rhs:
-                return
+        # |p| <= threshold where |P| * thr_den <= rhs, on integers
+        rhs = None if threshold is None else threshold.numerator * scaled.den << se
+        if rhs is not None and (mn * thr_den > rhs or mx * thr_den < -rhs):
+            return
+        inside = rhs is None or (mx * thr_den <= rhs and mn * thr_den >= -rhs)
         if inside and (mn >= 0 or mx <= 0):
             if threshold is not None and witness is None and (mn > 0 or mx < 0):
                 witness = _to_region_box(regions, ridx, lo_num, hi_num, k)
@@ -825,36 +835,20 @@ def spectral_measure(
             return
         rho = scaled.remainder_num(lo_num, hi_num, k)
         counter += 1
+        bracket = None
         if threshold is None:
             # straddling: bracket width is at most 2 vol min(mx, -mn), and at
             # most 2 vol rho for the linear model's remainder rho
-            vol_f = scaled.box_volume_f * scaled.dyadic_volume_f(lo_num, hi_num, k)
+            cells = math.prod(h - l for l, h in zip(lo_num, hi_num))
+            vol_f = scaled.box_volume_f * (cells / float(1 << (k * nv)))
             w = vol_f * 2.0 * (min(mx, -mn) / (float(scaled.den) * float(1 << se)))
             w = min(w, vol_f * 2.0 * (rho / (scaled.den << (se + scaled.deg_total))))
-            heapq.heappush(heap, (-w, counter, ridx, lo_num, hi_num, k, mn, mx, se, rho))
-            total_width += w
-            return
-        # sublevel: the first-order bracket, [|integral of p|, cap] inside the
-        # level set and [0, vol min(threshold, max|p|)] across it, intersected
-        # with the second-order one; dyadic box volume over 2**(k*nvars),
-        # times int_lcm, takes bounds over den * 2**se onto the integral
-        # denominator
-        vol = scaled.int_lcm * math.prod(h - l for l, h in zip(lo_num, hi_num))
-        if inside:
-            lb = abs(scaled.integral_num(lo_num, hi_num, k))
-            lower = lb * thr_den
-            upper = min(vol * max(mx, -mn), lb + 2 * vol * min(mx, -mn)) * thr_den
         else:
-            lower = 0
-            upper = vol * min(rhs, max(mx, -mn) * thr_den)
-        depth = max(k + 1, fine[ridx])
-        lo2, hi2 = scaled.sublevel_bracket_num(lo_num, hi_num, k, depth, rho, threshold)
-        shift = (depth - k) * scaled.int_exp
-        lower = max(lower << shift, lo2)
-        upper = min(upper << shift, hi2)
-        unit = scaled.den * scaled.int_lcm * thr_den << (depth * scaled.int_exp)
-        w = (upper - lower) / unit * scaled.box_volume_f
-        heapq.heappush(heap, (-w, counter, ridx, lo_num, hi_num, k, depth, lower, upper))
+            bracket = box_bracket(ridx, lo_num, hi_num, k, mn, mx, se, rho)
+            depth, lower, upper = bracket
+            unit = scaled.den * scaled.int_lcm * thr_den << (depth * scaled.int_exp)
+            w = (upper - lower) / unit * scaled.box_volume_f
+        heapq.heappush(heap, (-w, counter, ridx, lo_num, hi_num, k, mn, mx, se, rho, bracket))
         total_width += w
 
     lo0 = (0,) * nv
@@ -862,7 +856,7 @@ def spectral_measure(
     for ridx in range(len(regions)):
         push(ridx, lo0, hi0, 0)
 
-    # the second-order proxies are tight, so refinement ends near its target
+    # the second-order widths are tight, so refinement ends near its target
     target = 0.6 * float(tol_frac)
     while heap and total_width > target and boxes_processed < max_boxes:
         entry = heapq.heappop(heap)
@@ -874,29 +868,14 @@ def spectral_measure(
 
     # exact closing sweep on integers: per region, a depth-k numerator is over
     # den * int_lcm * thr_den * 2**(k*int_exp); sign-resolved boxes add their
-    # integrals, open boxes their brackets
+    # integrals, open boxes their brackets, computed here where missing
     lower_acc = [{k: v * thr_den for k, v in acc.items()} for acc in resolved]
     upper_acc = [dict(acc) for acc in lower_acc]
     for entry in heap:
         ridx = entry[2]
-        lo_acc = lower_acc[ridx]
-        hi_acc = upper_acc[ridx]
-        if threshold is not None:
-            _, _, _, _, _, _, depth, lo2, hi2 = entry
-            lo_acc[depth] = lo_acc.get(depth, 0) + lo2
-            hi_acc[depth] = hi_acc.get(depth, 0) + hi2
-            continue
-        _, _, _, lo_num, hi_num, k, mn, mx, se, rho = entry
-        scaled = scaled_list[ridx]
-        vol = scaled.int_lcm * math.prod(h - l for l, h in zip(lo_num, hi_num))
-        lb = abs(scaled.integral_num(lo_num, hi_num, k))
-        cap = min(vol * max(mx, -mn), lb + 2 * vol * min(mx, -mn))
-        # plain mode: intersect with the second-order bracket
-        depth = max(k + 1, fine[ridx])
-        lo2, hi2 = scaled.linear_bracket_num(lo_num, hi_num, k, depth, rho)
-        shift = (depth - k) * scaled.int_exp
-        lo_acc[depth] = lo_acc.get(depth, 0) + max(lb << shift, lo2)
-        hi_acc[depth] = hi_acc.get(depth, 0) + min(cap << shift, hi2)
+        depth, lo2, hi2 = entry[10] or box_bracket(*entry[2:10])
+        lower_acc[ridx][depth] = lower_acc[ridx].get(depth, 0) + lo2
+        upper_acc[ridx][depth] = upper_acc[ridx].get(depth, 0) + hi2
     lower = Fraction(0)
     upper = Fraction(0)
     for scaled, lo_acc, hi_acc in zip(scaled_list, lower_acc, upper_acc):

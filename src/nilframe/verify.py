@@ -519,7 +519,6 @@ class TilingReport:
 
 def window_tiling_check(
     windows: Sequence[tuple[PiecewiseBoxWindow, FiberGaborLattice]],
-    resolution: int = 7,
 ) -> TilingReport:
     """Exact tiling and packing certificate in piece-cell coordinates.
 
@@ -534,7 +533,6 @@ def window_tiling_check(
     (-1,1)^d holds no nonzero dual vector.  Identical pieces never pack.  Any
     other window is reported as uncertifiable and fails.  Only the window
     and the lattice are read; the synthesizer is never called.
-    ``resolution`` is ignored.
     """
     worst: tuple = ()
     max_dev = 0

@@ -309,12 +309,10 @@ def build_generator_field(
     if role not in ("frame", "wavelet"):
         raise SchemaError("role", f"unknown role {role!r}")
     det_b = density_polynomial(spec)
-    if role == "wavelet":
-        covolume = params.prod_a * params.prod_b * params.prod_q
-        if covolume != 1:
-            raise DensityViolationError(
-                f"wavelet role needs prod(a b q) = 1, got {format_rational(covolume)}"
-            )
+    if role == "wavelet" and params.covolume != 1:
+        raise DensityViolationError(
+            f"wavelet role needs prod(a b q) = 1, got {format_rational(params.covolume)}"
+        )
     axes = centered_grid(box, grid_shape)
     prod_a = float(params.prod_a)
     nodes: list[FieldNode] = []
@@ -337,7 +335,7 @@ def build_generator_field(
     predicted = None
     if mu_box is not None:
         mu_val = mu_box.value if isinstance(mu_box, MeasureResult) else float(mu_box)
-        predicted = mu_val / float(params.prod_q * params.prod_b * params.prod_a)
+        predicted = mu_val / float(params.covolume)
     return FrameGeneratorField(
         role=role,
         params=params,

@@ -287,7 +287,7 @@ def test_criterion_7_negative_controls():
         # deleting a window piece breaks tiling and is detected
         node = field.nodes[4]
         broken = replace(node.window, offsets=())
-        rep = window_tiling_check([(broken, node.lattice)], resolution=9)
+        rep = window_tiling_check([(broken, node.lattice)])
         assert not rep.passed
         assert rep.max_tiling_deviation >= 1
 

@@ -143,6 +143,45 @@ class TestValidateClass:
             ]
             assert all(all(c == 0 for c in row) for row in sq)
 
+    def test_adjoint_check_matches_dense_squares(self):
+        # the dense ad(+-X_k) matrices and their squares are the reference, on
+        # random tables with central brackets (ad^2 != 0) and generators that
+        # bracket with nothing (ad = 0)
+        rng = random.Random(4321)
+        seen = set()
+        for _ in range(80):
+            d = rng.randint(1, 3)
+            n = 2 * d + rng.randint(1, 3)
+            table = {}
+            for i, j in product(range(n), repeat=2):
+                if i < j and rng.random() < 0.25:
+                    vec = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n - 2 * d))
+                    if any(vec):
+                        table[(i, j)] = vec
+            spec = LieAlgebraSpec(n=n, d=d, brackets=table)
+            detail = []
+            for k, sign in product(range(d), (1, -1)):
+                w = [Fraction(0)] * n
+                w[spec.x_index(k)] = Fraction(sign)
+                mat = ad_matrix(spec, w)
+                sq = [
+                    [sum(mat[i][t] * mat[t][j] for t in range(n)) for j in range(n)]
+                    for i in range(n)
+                ]
+                name = f"{'-' if sign < 0 else ''}X{k + 1}"
+                if not any(any(row) for row in mat):
+                    detail.append(f"ad({name}) = 0")
+                if any(any(row) for row in sq):
+                    detail.append(f"ad({name})^2 != 0")
+            check = validate_class(spec).check("adjoint_nilpotent")
+            assert check.passed == (not detail)
+            assert check.detail == (
+                "; ".join(detail) if detail else "ad(+-X_k) nonzero with vanishing square for all k"
+            )
+            seen.update(line.split(")", 1)[1] for line in detail)
+            seen.add(check.passed)
+        assert seen == {" = 0", "^2 != 0", True, False}
+
 
 class TestJumpIndices:
     def test_heisenberg(self, heisenberg):

@@ -1,5 +1,6 @@
 """Config parsing, command dispatch, exit codes, report determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -215,6 +216,26 @@ class TestRunCommand:
         timed, _ = run_command("analyze", config, timing=True)
         assert "timing" not in plain
         assert "timing" in timed
+
+
+@pytest.mark.parametrize(
+    "command, fixture, digest",
+    [
+        ("analyze", "heisenberg", "3196f3f5448643200801387b4d9b548c4ce58f178ae58ae3635f168ae01bc81a"),
+        ("analyze", "example2", "38bc6052eb618cbac62ed7930b60cf0717f52ca7753f9e28439e0128fd3b25c2"),
+        ("analyze", "example3", "6d9810582a13bf3274982a8b2f454fe9cfbec4f01f8025969ccc409023d9a187"),
+        ("design", "heisenberg", "8e41f5f0da675d6165a68aaf8cc0f51d4b06f104d0a6abc5da60fd947a273f15"),
+        ("design", "example2", "c1a71ae6ad27ace2f0ea159bec03c6c7e1c63a07a6824e6e448e5be662f9993c"),
+        ("design", "example3", "9507de831b20c7ab4763d3437ad322e9b05e570a8f4d14da815cf9f1a58e17fa"),
+        ("examples", None, "133add3dcb9344372baeb9872fddd568746baaa8260ea5d17c4ae095385adf5b"),
+    ],
+)
+def test_fixture_reports_pinned(command, fixture, digest):
+    # the canonical reports run only exact arithmetic and correctly rounded
+    # floats, so a change to the exact kernels must leave them bit for bit
+    config = parse_config(fixture_path(f"{fixture}.json")) if fixture else None
+    report, _ = run_command(command, config)
+    assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == digest
 
 
 class TestMainEntry:

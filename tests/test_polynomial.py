@@ -1,7 +1,8 @@
 """Exact polynomial arithmetic, determinants and the rank routine.
 
-The determinant oracle here is an independent permutation expansion; the
-production code uses cofactors / fraction-free elimination.
+The production determinant and rank come from one fraction-free elimination;
+the references here are an independent permutation expansion and a cofactor
+expansion along the first row.
 """
 
 import random
@@ -42,6 +43,25 @@ def det_oracle(matrix):
             term = term * matrix[i][perm[i]]
         total = total + term
     return total
+
+
+def det_cofactor(m):
+    """Cofactor expansion along the first row."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = SpectralPolynomial(m[0][0].nvars)
+    for j in range(n):
+        if m[0][j].is_zero():
+            continue
+        cof = m[0][j] * det_cofactor([row[:j] + row[j + 1 :] for row in m[1:]])
+        total = total + (cof if j % 2 == 0 else -cof)
+    return total
+
+
+def mat_product(a, b):
+    zero = SpectralPolynomial(a[0][0].nvars)
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
 
 
 def rand_poly(rng, nvars, max_deg=1, max_terms=3):
@@ -136,6 +156,55 @@ class TestDeterminant:
         mat[1][0] = x
         mat[1][1] = zero
         assert determinant(mat) == -(x**5)
+
+
+class TestElimination:
+    """The one elimination against the cofactor expansion and known ranks."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_cofactor_expansion(self, n):
+        rng = random.Random(200 + n)
+        zero = SpectralPolynomial(2)
+        for _ in range(3):
+            mat = [[rand_poly(rng, 2) for _ in range(n)] for _ in range(n)]
+            # a zero (0,0) entry forces a swap at the first pivot
+            pivot_swap = [[zero] + row[1:] if i == 0 else row for i, row in enumerate(mat)]
+            # a row that is a polynomial multiple of another plus a third
+            factor = rand_poly(rng, 2)
+            singular = [row[:] for row in mat]
+            singular[-1] = [factor * x + (y if n > 2 else zero) for x, y in zip(mat[0], mat[1 % n])]
+            for case in (mat, pivot_swap, singular):
+                assert determinant(case) == det_cofactor(case)
+            if n > 1:
+                assert determinant(singular).is_zero()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_jump_block_is_det_b_squared(self, m):
+        # [[0, B^T], [-B, 0]] has determinant det(B)^2, the Pfaffian identity
+        rng = random.Random(250 + m)
+        zero = SpectralPolynomial(3)
+        for _ in range(3):
+            b = [[rand_poly(rng, 3) for _ in range(m)] for _ in range(m)]
+            block = [[zero] * m + [b[j][i] for j in range(m)] for i in range(m)]
+            block += [[-x for x in b[i]] + [zero] * m for i in range(m)]
+            assert determinant(block) == det_cofactor(block) == det_cofactor(b) ** 2
+
+    @pytest.mark.parametrize("n, cols", [(3, 3), (4, 4), (5, 5), (4, 6), (6, 3)])
+    def test_rank_of_a_product(self, n, cols):
+        # an n x r times r x cols product has rank r when the factors do, which
+        # a nonzero leading r-minor of each (by cofactors) shows
+        rng = random.Random(270 + n + cols)
+        for r in range(min(n, cols) + 1):
+            if not r:
+                assert generic_rank([[SpectralPolynomial(2)] * cols] * n) == 0
+                continue
+            while True:
+                left = [[rand_poly(rng, 2) for _ in range(r)] for _ in range(n)]
+                right = [[rand_poly(rng, 2) for _ in range(cols)] for _ in range(r)]
+                if det_cofactor(left[:r]) and det_cofactor([row[:r] for row in right]):
+                    break
+            prod = mat_product(left, right)
+            assert generic_rank(prod) == r
 
 
 class TestDivisionAndRank:

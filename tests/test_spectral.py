@@ -525,22 +525,27 @@ class TestSublevelBracket:
             rho = scaled.remainder_num(lo_num, hi_num, k)
             threshold = random_rational(rng, 1, 6, 7)
             depth = k + 1 + rng.randint(0, 2)
-            lower, upper = scaled.sublevel_bracket_num(lo_num, hi_num, k, depth, rho, threshold)
-            q0, q, rho_m, thr = scaled.sublevel_model(lo_num, hi_num, k, rho, threshold)
             half = [h - l for l, h in zip(lo_num, hi_num)]
+            vol = math.prod(2 * w for w in half)
+            # without a threshold: the integral of |L| plus or minus rho vol
+            q0, q = scaled.linear_model(lo_num, hi_num, k)
+            num, den = _abs_linear_integral(q0, q, half)
+            exact = {None: (Fraction(num, den) - rho * vol, Fraction(num, den) + rho * vol)}
+            q0, q, rho_m, thr = scaled.sublevel_model(lo_num, hi_num, k, rho, threshold)
             lo_terms, hi_terms = _sublevel_terms(thr, rho_m)
             if any(q):
                 # one list per call: the bracket's shared call must agree
                 (num_lo,), den = _truncated_power_integral(q0, q, half, lo_terms)
                 (num_hi,), _ = _truncated_power_integral(q0, q, half, hi_terms)
-                exact_lo, exact_hi = Fraction(num_lo, den), Fraction(num_hi, den)
+                exact[threshold] = Fraction(num_lo, den), Fraction(num_hi, den)
             else:
-                vol = math.prod(2 * w for w in half)
-                exact_lo, exact_hi = (g * vol for g in _sublevel_g(q0, thr, rho_m))
+                exact[threshold] = tuple(g * vol for g in _sublevel_g(q0, thr, rho_m))
             # the model's units onto the integral grid of the given depth
             scale = scaled.int_lcm << ((depth - k - 1) * scaled.int_exp)
-            assert lower <= exact_lo * scale < lower + 1
-            assert upper - 1 < exact_hi * scale <= upper
+            for t, (exact_lo, exact_hi) in exact.items():
+                lower, upper = scaled.model_bracket_num(lo_num, hi_num, k, depth, rho, t)
+                assert lower <= exact_lo * scale < lower + 1
+                assert upper - 1 < exact_hi * scale <= upper
 
     def test_linear_density_closes_with_outward_rounding(self):
         # p = x on [0, 1] below 1/3: the model is exact, the integral 1/18
