@@ -54,7 +54,7 @@ x = grid.axes()[0]
 gaussian = np.exp(-((x - 0.5) ** 2) / (2 * 0.08**2)).astype(complex)
 for half in (4, 8, 16, 32):
     trunc = TruncationSpec(m_half=(0,), k_half=(half,), n_half=(half,))
-    rep = fiber_parseval_defect(spec, params, node, [gaussian], trunc, grid)
+    rep = fiber_parseval_defect(params, node, [gaussian], trunc, grid)
     print(f"   defect with k,n in [-{half},{half}]: {rep.defect:.3e}")
 
 # full frame energy against three smooth test fields
@@ -62,20 +62,18 @@ trunc = TruncationSpec(m_half=(32,), k_half=(16,), n_half=(16,))
 print("\nframe energy ratios (Parseval target 1):")
 for i, (lc, xc, xw) in enumerate([(0.55, 0.45, 0.07), (0.42, 0.52, 0.09), (0.66, 0.38, 0.06)]):
     psi = make_test_field(
-        spec, box, [16], grid,
+        spec, field, grid,
         spectral_profile=bump_profile(lc, 0.12),
         space_profile=gaussian_profile([xc], [xw]),
     )
-    rep = frame_energy_ratio(psi, field, spec, params, trunc)
+    rep = frame_energy_ratio(psi, field, trunc)
     print(f"   field {i + 1}: ratio {rep.ratio:.8f} "
           f"(central indices clipped to grid classes: {rep.m_clipped})")
 
 # Gram diagnostics: the diagonal recovers the generator's squared norm, 1/2
 # for this configuration, confirming the system is a redundancy-two Parseval
 # frame rather than a basis
-gram = gram_orthonormality_check(
-    field, params, TruncationSpec(m_half=(0,), k_half=(1,), n_half=(1,))
-)
+gram = gram_orthonormality_check(field, TruncationSpec(m_half=(0,), k_half=(1,), n_half=(1,)))
 print(f"\nGram diagonal {gram.diagonal_value:.6f} "
       f"(deviation from basis value 1: {gram.max_diagonal_deviation:.3f}), "
       f"max off-diagonal {gram.max_offdiagonal:.6f}")

@@ -136,13 +136,11 @@ def _stage_synthesize(
     mu: MeasureResult,
     out_path: str | None,
 ) -> FrameGeneratorField:
-    v = config.algebra.center_dim
-    grid = config.verification.lam_grid or (16,) * v
     field = build_generator_field(
         config.algebra,
         params,
         config.spectrum.box,
-        grid_shape=grid,
+        grid_shape=config.verification.lam_grid,
         role="frame",
         mu_box=mu,
         eps_degenerate=config.spectrum.eps_degenerate,
@@ -163,31 +161,15 @@ def _stage_synthesize(
     return field
 
 
-def _default_trunc(config: ConfigDocument) -> TruncationSpec:
-    v = config.algebra.center_dim
-    d = config.algebra.d
-    default_kn = 16 if d == 1 else 4
-    return TruncationSpec(
-        m_half=config.verification.m_half or (32,) * v,
-        k_half=config.verification.k_half or (default_kn,) * d,
-        n_half=config.verification.n_half or (default_kn,) * d,
-    )
-
-
-def _stage_verify(
-    config: ConfigDocument,
-    report: dict,
-    params: QuasiLatticeParams,
-    field: FrameGeneratorField,
-) -> bool:
+def _stage_verify(config: ConfigDocument, report: dict, field: FrameGeneratorField) -> bool:
+    if not field.nodes:
+        raise SchemaError("verify", "generator field has no usable nodes")
     spec = config.algebra
     d = spec.d
-    box = config.spectrum.box
-    ppc = config.verification.points_per_cell or (52,) * d
-    before = config.verification.cells_before or (2,) * d
-    after = config.verification.cells_after or (3,) * d
-    x_grid = make_aligned_grid(params.b, before, after, ppc)
-    trunc = _default_trunc(config)
+    params = field.params
+    ver = config.verification
+    x_grid = make_aligned_grid(params.b, ver.cells_before, ver.cells_after, ver.points_per_cell)
+    trunc = TruncationSpec(m_half=ver.m_half, k_half=ver.k_half, n_half=ver.n_half)
 
     tiling = window_tiling_check([(n.window, n.lattice) for n in field.nodes])
 
@@ -205,32 +187,31 @@ def _stage_verify(
     defects = []
     for idx in probe:
         node = eligible[idx]
-        rep = fiber_parseval_defect(spec, params, node, [test], trunc, x_grid)
+        rep = fiber_parseval_defect(params, node, [test], trunc, x_grid)
         defects.append((node.lam, rep.defect))
     defect_values = [dval for _, dval in defects]
 
     ratios = []
-    (lo, hi), = box.region()
-    for i in range(config.verification.test_fields):
+    (lo, hi), = field.box.region()
+    for i in range(ver.test_fields):
         lam_center = float(lo[0] + (hi[0] - lo[0]) * Fraction(45 + 7 * i, 100))
         psi = make_test_field(
             spec,
-            box,
-            field.grid_shape,
+            field,
             x_grid,
             spectral_profile=bump_profile(lam_center, 0.1 * float(hi[0] - lo[0])),
             space_profile=gaussian_profile(
                 [c - 0.02 * i for c in centers], [w * (1.0 + 0.15 * i) for w in widths]
             ),
         )
-        ratios.append(frame_energy_ratio(psi, field, spec, params, trunc))
+        ratios.append(frame_energy_ratio(psi, field, trunc))
 
     gram = None
     if config.lattice.onb_requested:
         small = TruncationSpec(
             m_half=(0,) * spec.center_dim, k_half=(1,) * d, n_half=(1,) * d
         )
-        gram = gram_orthonormality_check(field, params, small)
+        gram = gram_orthonormality_check(field, small)
 
     if config.output.csv_path:
         with open(config.output.csv_path, "w") as fh:
@@ -238,8 +219,8 @@ def _stage_verify(
             for lam, dval in defects:
                 fh.write(f"\"{';'.join(format_rational(x) for x in lam)}\",{dval!r}\n")
 
-    ratio_ok = all(abs(r.ratio - 1.0) <= config.verification.ratio_tol for r in ratios)
-    defect_ok = max(defect_values) <= config.verification.defect_tol
+    ratio_ok = all(abs(r.ratio - 1.0) <= ver.ratio_tol for r in ratios)
+    defect_ok = max(defect_values) <= ver.defect_tol
     passed = tiling.passed and ratio_ok and defect_ok
     report["verification"] = {
         "tiling": tiling.as_dict(),
@@ -370,7 +351,7 @@ def _run_stages(command: str, config: ConfigDocument, report: dict, out_path: st
     field = _stage_synthesize(
         config, report, params, mu, out_path if command == "synthesize" else None
     )
-    return command == "synthesize" or _stage_verify(config, report, params, field)
+    return command == "synthesize" or _stage_verify(config, report, field)
 
 
 def run_command(
@@ -441,6 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_list(text: str, field: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise SchemaError(field, f"expected comma-separated integers, got {text!r}") from None
+
+
 def _apply_overrides(config: ConfigDocument, args) -> ConfigDocument:
     raw = dict(config.raw)
     if args.tol is not None:
@@ -450,10 +438,10 @@ def _apply_overrides(config: ConfigDocument, args) -> ConfigDocument:
         raw["spectrum"] = spectrum
     if args.grid:
         verification = dict(raw.get("verification", {}))
-        verification["lam_grid"] = [int(x) for x in args.grid.split(",")]
+        verification["lam_grid"] = _int_list(args.grid, "grid")
         raw["verification"] = verification
     if args.trunc:
-        parts = [int(x) for x in args.trunc.split(",")]
+        parts = _int_list(args.trunc, "trunc")
         if len(parts) != 3:
             raise SchemaError("trunc", "expected three integers m,k,n")
         verification = dict(raw.get("verification", {}))

@@ -38,17 +38,19 @@ class LatticeConfig:
 
 @dataclass(frozen=True)
 class VerificationConfig:
-    lam_grid: tuple[int, ...] = ()
-    points_per_cell: tuple[int, ...] = ()
-    cells_before: tuple[int, ...] = ()
-    cells_after: tuple[int, ...] = ()
-    m_half: tuple[int, ...] = ()
-    k_half: tuple[int, ...] = ()
-    n_half: tuple[int, ...] = ()
-    ratio_tol: float = 1e-2
-    defect_tol: float = 1e-3
-    test_fields: int = 3
-    piece_limit: int = 4096
+    """Verify-stage inputs, every default already resolved by ``parse_config``."""
+
+    lam_grid: tuple[int, ...]
+    points_per_cell: tuple[int, ...]
+    cells_before: tuple[int, ...]
+    cells_after: tuple[int, ...]
+    m_half: tuple[int, ...]
+    k_half: tuple[int, ...]
+    n_half: tuple[int, ...]
+    ratio_tol: float
+    defect_tol: float
+    test_fields: int
+    piece_limit: int
 
 
 @dataclass(frozen=True)
@@ -85,15 +87,16 @@ def _get_float(obj: Mapping, key: str, default: float, path: str) -> float:
     return float(v)
 
 
-def _get_int_vector(obj: Mapping, key: str, path: str, length: int | None = None):
+def _get_int_vector(obj: Mapping, key: str, path: str, length: int, fill: int) -> tuple[int, ...]:
+    """The integer list at ``key``, or ``fill`` repeated ``length`` times."""
     if key not in obj:
-        return ()
+        return (fill,) * length
     v = obj[key]
     if not isinstance(v, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in v
     ):
         raise SchemaError(f"{path}.{key}", "expected a list of integers")
-    if length is not None and len(v) != length:
+    if len(v) != length:
         raise SchemaError(f"{path}.{key}", f"expected {length} entries")
     return tuple(v)
 
@@ -188,14 +191,16 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
     piece_limit = verification_raw.get("piece_limit", 4096)
     if not isinstance(piece_limit, int) or isinstance(piece_limit, bool) or piece_limit < 1:
         raise SchemaError("verification.piece_limit", "expected a positive integer")
+    v, d = algebra.center_dim, algebra.d
+    kn = 16 if d == 1 else 4  # the k, n range grows as (2 kn + 1)^(2d)
     verification = VerificationConfig(
-        lam_grid=_get_int_vector(verification_raw, "lam_grid", "verification", algebra.center_dim),
-        points_per_cell=_get_int_vector(verification_raw, "points_per_cell", "verification", algebra.d),
-        cells_before=_get_int_vector(verification_raw, "cells_before", "verification", algebra.d),
-        cells_after=_get_int_vector(verification_raw, "cells_after", "verification", algebra.d),
-        m_half=_get_int_vector(verification_raw, "m_half", "verification", algebra.center_dim),
-        k_half=_get_int_vector(verification_raw, "k_half", "verification", algebra.d),
-        n_half=_get_int_vector(verification_raw, "n_half", "verification", algebra.d),
+        lam_grid=_get_int_vector(verification_raw, "lam_grid", "verification", v, 16),
+        points_per_cell=_get_int_vector(verification_raw, "points_per_cell", "verification", d, 52),
+        cells_before=_get_int_vector(verification_raw, "cells_before", "verification", d, 2),
+        cells_after=_get_int_vector(verification_raw, "cells_after", "verification", d, 3),
+        m_half=_get_int_vector(verification_raw, "m_half", "verification", v, 32),
+        k_half=_get_int_vector(verification_raw, "k_half", "verification", d, kn),
+        n_half=_get_int_vector(verification_raw, "n_half", "verification", d, kn),
         ratio_tol=_get_float(verification_raw, "ratio_tol", 1e-2, "verification"),
         defect_tol=_get_float(verification_raw, "defect_tol", 1e-3, "verification"),
         test_fields=test_fields,
@@ -223,9 +228,10 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
 
 
 def resolve_params(config: ConfigDocument) -> QuasiLatticeParams | None:
-    """Lattice parameters fully specified by the config, if any."""
-    if config.lattice.q is not None and config.lattice.b is not None:
-        return QuasiLatticeParams(
-            a=tuple(config.spectrum.box.a), q=config.lattice.q, b=config.lattice.b
-        )
-    return None
+    """Lattice parameters fixed by ``lattice.b``, with q all ones (the design
+    default) when ``lattice.q`` is absent; None without b, where q is a hint."""
+    b, q = config.lattice.b, config.lattice.q
+    if b is None:
+        return None
+    q = q if q is not None else (Fraction(1),) * len(b)
+    return QuasiLatticeParams(a=tuple(config.spectrum.box.a), q=q, b=b)

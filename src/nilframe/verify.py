@@ -46,8 +46,8 @@ from .intlattice import (
 )
 from .lattice import FiberGaborLattice, QuasiLatticeParams, fiber_lattice
 from .rationals import format_rational_vector
-from .spectral import SpectrumBox, density_polynomial
-from .windows import FieldNode, FrameGeneratorField, PiecewiseBoxWindow, centered_grid
+from .spectral import density_polynomial
+from .windows import FieldNode, FrameGeneratorField, PiecewiseBoxWindow
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +149,6 @@ class TruncationSpec:
             if any(h < 0 for h in vec):
                 raise SchemaError(f"trunc.{name}", "half-widths must be non-negative")
 
-    @classmethod
-    def default(cls, center_dim: int, d: int) -> "TruncationSpec":
-        return cls(
-            m_half=(32,) * center_dim,
-            k_half=(16,) * d,
-            n_half=(16,) * d,
-        )
-
     def gamma_range(self) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Reduced lattice indices (k, n) in canonical lexicographic order."""
         k_axes = [range(-h, h + 1) for h in self.k_half]
@@ -200,30 +192,31 @@ class BandlimitedField:
 
 def make_test_field(
     spec: LieAlgebraSpec,
-    box: SpectrumBox,
-    grid_shape: Sequence[int],
+    generator: FrameGeneratorField,
     x_grid: XGrid,
     spectral_profile: Callable[[np.ndarray], np.ndarray],
     space_profile: Callable[[list[np.ndarray]], np.ndarray],
 ) -> BandlimitedField:
-    """Product-form field: profile(λ) * profile(x) on the centered λ-grid."""
+    """Product-form field profile(λ) * profile(x) on the generator's λ-grid.
+
+    The λ-nodes and cell volume are the generator's own; the density
+    |det B(λ)| of ``spec`` is sampled at every node, skipped ones included.
+    """
     det_b = density_polynomial(spec)
-    axes = centered_grid(box, grid_shape)
-    mesh = x_grid.mesh()
-    base = np.asarray(space_profile(mesh), dtype=complex)
+    base = np.asarray(space_profile(x_grid.mesh()), dtype=complex)
     values = {}
     density = {}
-    (lo, hi), = box.region()
-    cell = Fraction(1)
-    for l, h, count in zip(lo, hi, grid_shape):
-        cell *= (h - l) / count
-    for lam in product(*axes):
+    for lam in product(*generator.axes):
         lam_f = np.array([float(x) for x in lam])
         amp = complex(spectral_profile(lam_f))
         values[lam] = amp * base
         density[lam] = abs(det_b.evaluate_float([float(x) for x in lam]))
     return BandlimitedField(
-        axes=axes, x_grid=x_grid, values=values, density=density, cell_volume=float(cell)
+        axes=generator.axes,
+        x_grid=x_grid,
+        values=values,
+        density=density,
+        cell_volume=float(generator.cell_volume),
     )
 
 
@@ -356,7 +349,6 @@ class DefectReport:
 
 
 def fiber_parseval_defect(
-    spec: LieAlgebraSpec,
     params: QuasiLatticeParams,
     node: FieldNode,
     tests: Sequence[np.ndarray],
@@ -429,18 +421,18 @@ def _alias_free_m_values(m_half: Sequence[int], node_counts: Sequence[int]):
 def frame_energy_ratio(
     psi: BandlimitedField,
     generator: FrameGeneratorField,
-    spec: LieAlgebraSpec,
-    params: QuasiLatticeParams,
     trunc: TruncationSpec,
 ) -> RatioReport:
     """Frame energy of psi against the generator's quasi-lattice system,
     relative to the spectral norm of psi.
 
-    For each reduced-lattice element the fiber inner products weighted by the
-    Plancherel density are expanded against the exponential family of the box
-    over the λ-grid; the central index range is clipped to the grid's alias
-    classes and the clipping is reported.  A Parseval system drives the ratio
-    to one from below as truncations grow.
+    psi samples the generator's λ-grid (as ``make_test_field`` builds it) on
+    an x-grid aligned to ``generator.params.b``.  For each reduced-lattice
+    element the fiber inner products weighted by the Plancherel density are
+    expanded against the exponential family of the box over the λ-grid; the
+    central index range is clipped to the grid's alias classes and the
+    clipping is reported.  A Parseval system drives the ratio to one from
+    below as truncations grow.
     """
     if psi.axes != generator.axes:
         raise SchemaError("verify", "psi and generator must share the λ-grid")
@@ -452,6 +444,7 @@ def frame_energy_ratio(
         raise ValueError("zero test field")
     x_grid = psi.x_grid
     lam_cell = psi.cell_volume
+    b = generator.params.b
 
     m_axes, m_clipped = _alias_free_m_values(trunc.m_half, generator.grid_shape)
     m_values = [m for m in product(*m_axes)]
@@ -465,7 +458,7 @@ def frame_energy_ratio(
 
     # fiber inner products h[k, n, node] = <psi(λ), M_Bk T_n w(λ)>
     h = np.stack(
-        [_fiber_pairings(node, psi.values[node.lam], trunc, x_grid, params.b) for node in nodes],
+        [_fiber_pairings(node, psi.values[node.lam], trunc, x_grid, b) for node in nodes],
         axis=-1,
     )
     h *= np.array([psi.density[lam] for lam in lam_list])
@@ -601,7 +594,7 @@ class GramReport:
 class _FiberGram:
     """Closed-form Gram entries for one fiber from its integer piece cells V
     and translations A: a piece meets a translate of a piece wholly or not at
-    all, so with xi = B dk every entry but the norm is
+    all, so with xi = B dk every entry, the diagonal included, is
     scale^2 |det P| e^{2 pi i (T n').xi} prod_t E((P^tr xi)_t)
     sum_i count[V_i - A dn] e^{2 pi i offset_i.xi}, with E(w) the integral of
     e^{2 pi i t w} over [0, 1] and count the multiplicity of a cell.  A
@@ -610,7 +603,6 @@ class _FiberGram:
 
     def __init__(self, node: FieldNode):
         window = node.window
-        self.norm_sq = window.norm_sq
         self.weight = window.scale**2 * float(window.piece_measure)
         self.cells = window.cells
         self.counts = Counter(self.cells)
@@ -631,8 +623,6 @@ class _FiberGram:
         (k1, n1), (k2, n2) = gamma, gamma2
         dk = [a - b for a, b in zip(k1, k2)]
         dn = tuple(a - b for a, b in zip(n1, n2))
-        if not any(dk) and not any(dn):
-            return complex(self.norm_sq)
         if dn not in self.weights:
             shift = mat_vec(self.trans_cells, dn)
             counts = [self.counts[tuple(x - s for x, s in zip(v, shift))] for v in self.cells]
@@ -654,24 +644,21 @@ class _FiberGram:
 
 def gram_orthonormality_check(
     generator: FrameGeneratorField,
-    params: QuasiLatticeParams,
     trunc: TruncationSpec,
 ) -> GramReport:
-    """Gram matrix of the quasi-lattice system in the spectral domain.
+    """Gram matrix of the generator's quasi-lattice system in the spectral
+    domain, over the index set of ``trunc``.
 
-    The diagonal equals the generator's squared norm (reported as the basis
-    witness); off-diagonal magnitudes measure deviation from orthogonality
-    over the truncated index set.
+    Every entry, the diagonal included, comes from one closed-form fiber
+    formula.  The diagonal is the same for every index and equals the
+    generator's squared norm (reported as the basis witness); off-diagonal
+    magnitudes measure deviation from orthogonality.
     """
     gammas = list(trunc.gamma_range())
     cell = float(generator.cell_volume)
     inv_prod_a = 1.0 / float(generator.params.prod_a)
     helpers = [_FiberGram(node) for node in generator.nodes]
-    # every diagonal entry is the same sum of the fibers' squared norms
-    diag = 0.0
-    for helper in helpers:
-        diag += helper.norm_sq
-    diag *= cell * inv_prod_a
+    diag = sum(helper.entry(gammas[0], gammas[0]).real for helper in helpers) * (cell * inv_prod_a)
     max_off = 0.0
     for gi, g1 in enumerate(gammas):
         for g2 in gammas[gi + 1 :]:

@@ -242,8 +242,8 @@ def test_criterion_5_painless_window():
         test = np.exp(-((x - 0.5) ** 2) / (2 * 0.08**2)).astype(complex)
         t16 = TruncationSpec(m_half=(0,), k_half=(16,), n_half=(16,))
         t32 = TruncationSpec(m_half=(0,), k_half=(32,), n_half=(32,))
-        d16 = fiber_parseval_defect(spec, params, node, [test], t16, grid).defect
-        d32 = fiber_parseval_defect(spec, params, node, [test], t32, grid).defect
+        d16 = fiber_parseval_defect(params, node, [test], t16, grid).defect
+        d32 = fiber_parseval_defect(params, node, [test], t32, grid).defect
         assert d16 < 1e-3
         assert d32 <= d16 / 2
 
@@ -265,18 +265,18 @@ def test_criterion_6_full_frame_identity():
             (bump_profile(0.66, 0.15), gaussian_profile([0.38], [0.06])),
         ]
         fields = [
-            make_test_field(spec, box, [16], grid, spectral_profile=sp, space_profile=xp)
+            make_test_field(spec, field, grid, spectral_profile=sp, space_profile=xp)
             for sp, xp in profiles
         ]
         for psi in fields:
-            rep = frame_energy_ratio(psi, field, spec, params, trunc)
+            rep = frame_energy_ratio(psi, field, trunc)
             assert abs(rep.ratio - 1.0) <= 1e-2
 
         psi = fields[0]
         energies = []
         for half in (2, 4, 8, 16):
             t = TruncationSpec(m_half=(half,), k_half=(half,), n_half=(half,))
-            energies.append(frame_energy_ratio(psi, field, spec, params, t).energy)
+            energies.append(frame_energy_ratio(psi, field, t).energy)
         assert all(b >= a - 1e-15 for a, b in zip(energies, energies[1:]))
 
 
@@ -294,8 +294,7 @@ def test_criterion_7_negative_controls():
         # scaling the generator by 2 scales the frame energy ratio to 4
         psi = make_test_field(
             spec,
-            box,
-            [16],
+            field,
             grid,
             spectral_profile=bump_profile(0.55, 0.12),
             space_profile=gaussian_profile([0.45], [0.07]),
@@ -308,7 +307,7 @@ def test_criterion_7_negative_controls():
             ),
         )
         trunc = TruncationSpec(m_half=(32,), k_half=(16,), n_half=(16,))
-        rep4 = frame_energy_ratio(psi, doubled, spec, params, trunc)
+        rep4 = frame_energy_ratio(psi, doubled, trunc)
         assert abs(rep4.ratio - 4.0) <= 1e-2
 
         # density violation is rejected with exit code 2 before any synthesis

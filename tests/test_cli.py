@@ -19,7 +19,7 @@ from nilframe.cli import (
 from nilframe.config import parse_config
 from nilframe.errors import SchemaError
 
-from conftest import HEISENBERG_DOC
+from conftest import EXAMPLE2_DOC, HEISENBERG_DOC
 
 
 def desk_config_doc(**overrides):
@@ -66,6 +66,22 @@ class TestParseConfig:
     def test_float_rejected_for_exact_field(self):
         with pytest.raises(SchemaError):
             parse_config(desk_config_doc(spectrum={"a": [1.5]}))
+
+    @pytest.mark.parametrize(
+        "algebra, a, kn",
+        [(HEISENBERG_DOC, ["1"], (16,)), (EXAMPLE2_DOC, ["2", "3"], (4, 4))],
+    )
+    def test_verification_defaults_resolved_at_parse(self, algebra, a, kn):
+        doc = {"algebra": algebra, "spectrum": {"a": a}}
+        config = parse_config(doc)
+        v, d = len(a), len(kn)
+        ver = config.verification
+        assert ver.lam_grid == (16,) * v
+        assert ver.points_per_cell == (52,) * d
+        assert (ver.cells_before, ver.cells_after) == ((2,) * d, (3,) * d)
+        assert ver.m_half == (32,) * v
+        assert ver.k_half == ver.n_half == kn
+        assert config.raw == doc
 
 
 class TestRunCommand:
@@ -277,6 +293,42 @@ class TestMainEntry:
         cfg.write_text(json.dumps(desk_config_doc()))
         code = main(["verify", "--config", str(cfg), "--trunc", "0,0,0"])
         assert code == EXIT_CONDITION
+
+    def test_main_verify_without_usable_nodes_exit_3(self, tmp_path, capsys):
+        # the one λ-node (1/2, 1/2) lies on the zero set of l1^2 - l2^2
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "algebra": EXAMPLE2_DOC,
+                    "spectrum": {"a": ["1", "1"]},
+                    "lattice": {"q": ["1", "1"], "b": ["1", "1"]},
+                    "verification": {"lam_grid": [1, 1]},
+                }
+            )
+        )
+        code = main(["verify", "--config", str(cfg)])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["field"] == "verify"
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag, value", [("--grid", "4,x"), ("--trunc", "1,x,2")])
+    def test_main_non_integer_override_exit_3(self, tmp_path, capsys, flag, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(desk_config_doc()))
+        code = main(["analyze", "--config", str(cfg), flag, value])
+        assert code == EXIT_INPUT
+        assert json.loads(capsys.readouterr().out)["error"]["field"] == flag[2:]
+
+    def test_main_b_without_q_fixes_the_lattice(self, tmp_path, capsys):
+        # b = 1/2 alone is kept (q = 1) and fails the density condition
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(desk_config_doc(lattice={"b": ["1/2"]})))
+        out = tmp_path / "report.json"
+        code = main(["design", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONDITION
+        assert json.loads(out.read_text())["design"]["params"]["b"] == ["1/2"]
 
     def test_main_examples_single(self, capsys):
         code = main(["examples", "--example", "1"])

@@ -127,8 +127,6 @@ class BucketSearchGram:
         k2, n2 = gamma2
         dk = [a - b for a, b in zip(k1, k2)]
         dn = [a - b for a, b in zip(n1, n2)]
-        if all(v == 0 for v in dk) and all(v == 0 for v in dn):
-            return complex(self.window.norm_sq)
         xi = [sum(self.mod_f[i][j] * dk[j] for j in range(d)) for i in range(d)]
         s_t_xi = [sum(self.shape_f[i][j] * xi[i] for i in range(d)) for j in range(d)]
         phase0 = sum(
@@ -262,7 +260,7 @@ class TestGoldenOracle:
         ]
         for (m_half, kn_half), (ratio, energy, tail) in cases:
             trunc = TruncationSpec(m_half=(m_half,), k_half=(kn_half,), n_half=(kn_half,))
-            rep = frame_energy_ratio(psi, desk_field, heisenberg_module, desk_params(), trunc)
+            rep = frame_energy_ratio(psi, desk_field, trunc)
             assert rep.ratio == pytest.approx(ratio, rel=1e-12)
             assert rep.energy == pytest.approx(energy, rel=1e-12)
             assert rep.tail_fraction == pytest.approx(tail, rel=1e-12)
@@ -277,7 +275,7 @@ class TestGoldenOracle:
             for c, w in ((0.5, 0.08), (0.3, 0.05))
         ]
         t4 = TruncationSpec(m_half=(0,), k_half=(4,), n_half=(4,))
-        rep = fiber_parseval_defect(heisenberg_module, desk_params(), node, tests, t4, grid)
+        rep = fiber_parseval_defect(desk_params(), node, tests, t4, grid)
         assert rep.defect == pytest.approx(0.2870556592943079, rel=1e-12)
         assert rep.energy_ratios == pytest.approx(
             (0.9126588070415129, 0.7129443407056921), rel=1e-12
@@ -285,7 +283,7 @@ class TestGoldenOracle:
         # near one the defect is a difference of nearly equal numbers: its
         # energy ratio is pinned relatively, the defect to a few ulps of one
         t16 = TruncationSpec(m_half=(0,), k_half=(16,), n_half=(16,))
-        rep = fiber_parseval_defect(heisenberg_module, desk_params(), node, tests[:1], t16, grid)
+        rep = fiber_parseval_defect(desk_params(), node, tests[:1], t16, grid)
         assert rep.energy_ratios[0] == pytest.approx(0.9999999996318624, rel=1e-12)
         assert rep.defect == pytest.approx(3.6813763149012857e-10, abs=1e-15)
 
@@ -342,12 +340,8 @@ class TestFiberParsevalDefect:
         test = np.exp(-((x - 0.5) ** 2) / (2 * 0.08**2)).astype(complex)
         t16 = TruncationSpec(m_half=(0,), k_half=(16,), n_half=(16,))
         t32 = TruncationSpec(m_half=(0,), k_half=(32,), n_half=(32,))
-        d16 = fiber_parseval_defect(
-            heisenberg_module, desk_params(), node, [test], t16, grid
-        ).defect
-        d32 = fiber_parseval_defect(
-            heisenberg_module, desk_params(), node, [test], t32, grid
-        ).defect
+        d16 = fiber_parseval_defect(desk_params(), node, [test], t16, grid).defect
+        d32 = fiber_parseval_defect(desk_params(), node, [test], t32, grid).defect
         assert d16 < 1e-3
         assert d32 <= d16 / 2
 
@@ -358,7 +352,7 @@ class TestFiberParsevalDefect:
         x = grid.axes()[0]
         test = np.exp(-((x - 0.5) ** 2) / (2 * 0.08**2)).astype(complex)
         t = TruncationSpec(m_half=(0,), k_half=(16,), n_half=(16,))
-        rep = fiber_parseval_defect(heisenberg_module, desk_params(), bad, [test], t, grid)
+        rep = fiber_parseval_defect(desk_params(), bad, [test], t, grid)
         assert rep.energy_ratios[0] == pytest.approx(4.0, abs=1e-2)
         assert rep.defect == pytest.approx(3.0, abs=1e-2)
 
@@ -369,7 +363,7 @@ class TestFiberParsevalDefect:
         x = grid.axes()[0]
         test = np.exp(-((x - 0.5) ** 2) / (2 * 0.08**2)).astype(complex)
         t = TruncationSpec(m_half=(0,), k_half=(4,), n_half=(4,))
-        rep = fiber_parseval_defect(heisenberg_module, desk_params(), bad, [test], t, grid)
+        rep = fiber_parseval_defect(desk_params(), bad, [test], t, grid)
         assert rep.energy_ratios[0] == 0.0
         assert rep.defect == 1.0
 
@@ -387,18 +381,15 @@ class TestFiberParsevalDefect:
         grid = desk_grid()
         t = TruncationSpec(m_half=(0,), k_half=(1,), n_half=(1,))
         with pytest.raises(ValueError):
-            fiber_parseval_defect(
-                heisenberg_module, desk_params(), node, [np.zeros(grid.counts[0])], t, grid
-            )
+            fiber_parseval_defect(desk_params(), node, [np.zeros(grid.counts[0])], t, grid)
 
 
 @pytest.fixture(scope="module")
-def psi(heisenberg_module):
+def psi(heisenberg_module, desk_field):
     grid = desk_grid()
     return make_test_field(
         heisenberg_module,
-        desk_box(),
-        [16],
+        desk_field,
         grid,
         spectral_profile=bump_profile(0.55, 0.12),
         space_profile=gaussian_profile([0.45], [0.07]),
@@ -407,17 +398,15 @@ def psi(heisenberg_module):
 
 class TestFrameEnergyRatio:
     def test_parseval_ratio_close_to_one(self, heisenberg_module, desk_field, psi):
-        trunc = TruncationSpec.default(1, 1)
-        rep = frame_energy_ratio(psi, desk_field, heisenberg_module, desk_params(), trunc)
+        trunc = TruncationSpec((32,), (16,), (16,))
+        rep = frame_energy_ratio(psi, desk_field, trunc)
         assert rep.ratio == pytest.approx(1.0, abs=1e-2)
         assert rep.m_clipped  # 65 requested central indices vs 16 grid nodes
 
     def test_scalar_invariance(self, heisenberg_module, desk_field, psi):
         trunc = TruncationSpec(m_half=(8,), k_half=(6,), n_half=(6,))
-        base = frame_energy_ratio(psi, desk_field, heisenberg_module, desk_params(), trunc)
-        scaled = frame_energy_ratio(
-            psi.scaled(2.5j - 1.0), desk_field, heisenberg_module, desk_params(), trunc
-        )
+        base = frame_energy_ratio(psi, desk_field, trunc)
+        scaled = frame_energy_ratio(psi.scaled(2.5j - 1.0), desk_field, trunc)
         assert scaled.ratio == pytest.approx(base.ratio, rel=1e-12)
 
     def test_monotone_under_truncation_growth(self, heisenberg_module, desk_field, psi):
@@ -425,18 +414,18 @@ class TestFrameEnergyRatio:
         for half in (2, 4, 8, 16):
             trunc = TruncationSpec(m_half=(half,), k_half=(half,), n_half=(half,))
             energies.append(
-                frame_energy_ratio(psi, desk_field, heisenberg_module, desk_params(), trunc).energy
+                frame_energy_ratio(psi, desk_field, trunc).energy
             )
         assert all(b >= a - 1e-15 for a, b in zip(energies, energies[1:]))
 
     def test_zero_truncation_strictly_below_one(self, heisenberg_module, desk_field, psi):
         trunc = TruncationSpec(m_half=(0,), k_half=(0,), n_half=(0,))
-        rep = frame_energy_ratio(psi, desk_field, heisenberg_module, desk_params(), trunc)
+        rep = frame_energy_ratio(psi, desk_field, trunc)
         assert rep.ratio < 1.0
 
     def test_norm_matches_field_quadrature(self, heisenberg_module, desk_field, psi):
         trunc = TruncationSpec(m_half=(1,), k_half=(1,), n_half=(1,))
-        rep = frame_energy_ratio(psi, desk_field, heisenberg_module, desk_params(), trunc)
+        rep = frame_energy_ratio(psi, desk_field, trunc)
         assert rep.norm_sq == pytest.approx(psi.norm_sq(), rel=1e-12)
 
     def test_generator_expanded_against_itself(self, heisenberg_module, desk_field):
@@ -459,7 +448,7 @@ class TestFrameEnergyRatio:
             cell_volume=float(desk_field.cell_volume),
         )
         trunc = TruncationSpec(m_half=(8,), k_half=(16,), n_half=(16,))
-        rep = frame_energy_ratio(psi_self, desk_field, heisenberg_module, desk_params(), trunc)
+        rep = frame_energy_ratio(psi_self, desk_field, trunc)
         assert rep.ratio == pytest.approx(1.0, abs=5e-2)
 
 
@@ -592,7 +581,8 @@ class TestTilingCertificateMutations:
     def test_gram_weights_coinciding_pieces(self, fiber):
         # a duplicated piece, and a copy moved by a translation column, meet
         # pieces of the window at dn = 0 and dn = (1, 0): the cell counts
-        # must weight the overlap formula as the piece-pair search does
+        # must weight the overlap formula as the piece-pair search does, on
+        # the diagonal (gamma, gamma) too
         from nilframe.verify import _FiberGram
 
         window, lat = fiber
@@ -607,6 +597,7 @@ class TestTilingCertificateMutations:
             (((0, 0), (1, 0)), ((0, 0), (0, 0))),
             (((1, 2), (0, 1)), ((0, 0), (-1, 1))),
             (((0, 1), (-1, 0)), ((0, 0), (0, 0))),
+            (((1, 2), (0, 1)), ((1, 2), (0, 1))),
         ]
         for g1, g2 in pairs:
             got, want = gram.entry(g1, g2), ref.entry(g1, g2)
@@ -626,7 +617,7 @@ class TestTwoDimensionalFiber:
             gaussian_profile([1 / 6, 1 / 6], [0.05, 0.05])(mesh), dtype=complex
         )
         trunc = TruncationSpec(m_half=(0, 0), k_half=(5, 5), n_half=(5, 5))
-        rep = fiber_parseval_defect(example2, params, node, [test], trunc, grid)
+        rep = fiber_parseval_defect(params, node, [test], trunc, grid)
         assert rep.defect < 1e-3
 
     def test_modulation_row_sums_to_window_norm_multipiece(self, example2):
@@ -642,6 +633,7 @@ class TestTwoDimensionalFiber:
         norm_sq = node.window.norm_sq
         gram = _FiberGram(node)
         zero = ((0, 0), (0, 0))
+        assert gram.entry(zero, zero) == pytest.approx(norm_sq, rel=1e-15)
         # translated copies never meet the original support
         for n_vec in [(1, 0), (0, -1), (2, 1)]:
             assert abs(gram.entry(zero, ((0, 0), n_vec))) < 1e-12
@@ -725,7 +717,7 @@ class TestGram:
 
     def test_diagonal_is_generator_norm(self, heisenberg_module, desk_field):
         trunc = TruncationSpec(m_half=(0,), k_half=(1,), n_half=(1,))
-        rep = gram_orthonormality_check(desk_field, desk_params(), trunc)
+        rep = gram_orthonormality_check(desk_field, trunc)
         # expected norm^2 = mu(box)/(prod a b q) = 1/2, up to grid quadrature
         assert rep.diagonal_value == pytest.approx(0.5, abs=1e-6)
         assert rep.max_diagonal_deviation == pytest.approx(0.5, abs=1e-6)
@@ -735,17 +727,17 @@ class TestGram:
         box = SpectrumBox(a=(F(2), F(3)))
         field = build_generator_field(example2, p, box, grid_shape=[16, 24], role="frame")
         trunc = TruncationSpec(m_half=(0, 0), k_half=(0, 0), n_half=(0, 0))
-        rep = gram_orthonormality_check(field, p, trunc)
+        rep = gram_orthonormality_check(field, trunc)
         assert rep.diagonal_value == pytest.approx(23.0 / 81.0, rel=2e-2)
         assert abs(rep.diagonal_value - 1.0) > 0.5  # nowhere near a basis
 
     def test_offdiagonal_bounded_by_diagonal(self, heisenberg_module, desk_field):
         # Cauchy-Schwarz: no coherence can exceed the common norm of the system
         trunc = TruncationSpec(m_half=(1,), k_half=(1,), n_half=(1,))
-        rep = gram_orthonormality_check(desk_field, desk_params(), trunc)
+        rep = gram_orthonormality_check(desk_field, trunc)
         assert rep.max_offdiagonal <= rep.diagonal_value + 1e-9
 
     def test_diagonal_real_nonnegative(self, heisenberg_module, desk_field):
         trunc = TruncationSpec(m_half=(0,), k_half=(2,), n_half=(2,))
-        rep = gram_orthonormality_check(desk_field, desk_params(), trunc)
+        rep = gram_orthonormality_check(desk_field, trunc)
         assert rep.diagonal_value >= 0.0
