@@ -15,8 +15,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .algebra import jump_indices, validate_class
 from .config import ConfigDocument, parse_config, resolve_params
@@ -180,7 +178,7 @@ def _stage_verify(config: ConfigDocument, report: dict, field: FrameGeneratorFie
     mesh = x_grid.mesh()
     centers = [0.5 / float(params.b[k]) for k in range(d)]
     widths = [0.08 / float(params.b[k]) for k in range(d)]
-    test = np.asarray(gaussian_profile(centers, widths)(mesh), dtype=complex)
+    test = gaussian_profile(centers, widths)(mesh).astype(complex)
     eligible = sorted(field.nodes, key=lambda n: abs(float(n.lattice.det_b)), reverse=True)
     eligible = eligible[: max(1, len(eligible) // 2)]
     probe = sorted({0, len(eligible) // 2, len(eligible) - 1})
@@ -390,6 +388,9 @@ def run_command(
     except (DensityViolationError, PieceOverflowError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = EXIT_CONDITION
+    except SchemaError as exc:
+        report["error"] = {"type": "schema", "field": exc.field, "message": str(exc)}
+        code = EXIT_INPUT
 
     report["status"] = "pass" if code == EXIT_PASS else "fail"
     if timing or (config is not None and config.output.timing):

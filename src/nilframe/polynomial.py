@@ -280,17 +280,23 @@ def exact_divide(num: SpectralPolynomial, den: SpectralPolynomial) -> SpectralPo
         return SpectralPolynomial(num.nvars)
     num._check_compat(den)
     lead_m, lead_c = _lex_leading(den)
-    quotient = SpectralPolynomial(num.nvars)
-    rem = num
-    while not rem.is_zero():
-        m, c = _lex_leading(rem)
+    quotient: dict[Monomial, Fraction] = {}
+    rem = dict(num.terms)
+    while rem:
+        m = max(rem)
         diff = tuple(a - b for a, b in zip(m, lead_m))
         if any(e < 0 for e in diff):
             raise ArithmeticError("polynomial division is not exact")
-        factor = SpectralPolynomial(num.nvars, {diff: c / lead_c})
-        quotient = quotient + factor
-        rem = rem - factor * den
-    return quotient
+        factor = rem[m] / lead_c
+        quotient[diff] = factor
+        for den_m, coef in den.terms.items():
+            mono = tuple(a + b for a, b in zip(diff, den_m))
+            new = rem.get(mono, _ZERO) - factor * coef
+            if new == 0:
+                rem.pop(mono, None)
+            else:
+                rem[mono] = new
+    return SpectralPolynomial(num.nvars, quotient)
 
 
 def determinant(matrix: Sequence[Sequence[SpectralPolynomial]]) -> SpectralPolynomial:

@@ -19,18 +19,23 @@ The tiling certificate and the Gram diagnostic read one piece-cell view of
 each window (``PiecewiseBoxWindow.cells`` and ``lattice_cells``).  Its
 cells and translations are integer, so every overlap of a piece with a
 translate of another piece is whole or empty.
+
+This is the package's only numpy consumer, and it loads numpy on first use:
+validation, the spectral certificates, lattice design and synthesis run on
+Python integers and Fractions alone, so only the frame oracle pays numpy's
+import.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .algebra import LieAlgebraSpec
 from .errors import MisalignedGridError, SchemaError
@@ -48,6 +53,27 @@ from .lattice import FiberGaborLattice, QuasiLatticeParams, fiber_lattice
 from .rationals import format_rational_vector
 from .spectral import density_polynomial
 from .windows import FieldNode, FrameGeneratorField, PiecewiseBoxWindow
+
+
+def _lazy_numpy():
+    """numpy bound without executing it: the first attribute access loads it.
+
+    On Python 3.10 and 3.11 that first access is not thread-safe, which is
+    fine because the command line runs on one thread."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +269,20 @@ def bump_profile(center: float, width: float):
 # ---------------------------------------------------------------------------
 
 
+def sample_window(window: PiecewiseBoxWindow, axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Float indicator values of the window's pieces on a product grid;
+    returns an array shaped like the grid."""
+    inv = np.array([[float(v) for v in row] for row in mat_inv(window.shape)])
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=0)  # (d, npts)
+    out = np.zeros(pts.shape[1], dtype=bool)
+    for off in window.offsets:
+        t = inv @ (pts - np.array([[float(o)] for o in off]))
+        inside = np.all((t >= 0.0) & (t < 1.0), axis=0)
+        out |= inside
+    return out.reshape(mesh[0].shape).astype(float)
+
+
 def apply_fiber_rep(
     spec: LieAlgebraSpec,
     params: QuasiLatticeParams,
@@ -318,7 +358,7 @@ def _fiber_pairings(
     over the modulation indices k and translation indices n of ``trunc``;
     translates that leave the grid are skipped and pair to zero."""
     axes = x_grid.axes()
-    w = node.window.sample_grid(axes) * node.window.scale * node.normalization
+    w = sample_window(node.window, axes) * node.window.scale * node.normalization
     tables = _phase_tables(
         node.lattice.modulation, list(product(*[range(-h, h + 1) for h in trunc.k_half])), axes
     )

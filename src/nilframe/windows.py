@@ -30,8 +30,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-import numpy as np
-
 from .algebra import LieAlgebraSpec
 from .errors import (
     DegenerateFiberError,
@@ -106,18 +104,6 @@ class PiecewiseBoxWindow:
         D = P^{-1} C^{-tr} in piece-cell coordinates, as exact matrices."""
         dual = mat_inv(mat_transpose(lattice.modulation))
         return mat_mul(self._shape_inv, lattice.translation), mat_mul(self._shape_inv, dual)
-
-    def sample_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """Float indicator values on a product grid; returns array shaped like the grid."""
-        inv = np.array([[float(v) for v in row] for row in self._shape_inv])
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=0)  # (d, npts)
-        out = np.zeros(pts.shape[1], dtype=bool)
-        for off in self.offsets:
-            t = inv @ (pts - np.array([[float(o)] for o in off]))
-            inside = np.all((t >= 0.0) & (t < 1.0), axis=0)
-            out |= inside
-        return out.reshape(mesh[0].shape).astype(float)
 
 
 # how many shells of G-translates cut-and-stack searches for a fresh residue

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -313,6 +316,30 @@ class TestMainEntry:
         assert json.loads(captured.out)["error"]["field"] == "verify"
         assert "Traceback" not in captured.err
 
+    def test_main_stage_schema_error_keeps_the_report(self, tmp_path, capsys):
+        # the zero-set config above: every stage before verify completes, and
+        # the input error inside verify is reported beside their sections
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "algebra": EXAMPLE2_DOC,
+                    "spectrum": {"a": ["1", "1"]},
+                    "lattice": {"q": ["1", "1"], "b": ["1", "1"]},
+                    "verification": {"lam_grid": [1, 1]},
+                }
+            )
+        )
+        out = tmp_path / "report.json"
+        code = main(["verify", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_INPUT
+        report = json.loads(out.read_text())
+        for section in ("validation", "spectral", "design", "synthesis"):
+            assert section in report, section
+        assert report["error"]["type"] == "schema"
+        assert report["error"]["field"] == "verify"
+        assert report["status"] == "fail"
+
     @pytest.mark.parametrize("flag, value", [("--grid", "4,x"), ("--trunc", "1,x,2")])
     def test_main_non_integer_override_exit_3(self, tmp_path, capsys, flag, value):
         cfg = tmp_path / "c.json"
@@ -364,3 +391,44 @@ class TestMainEntry:
         code = main(["design", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
         assert code == EXIT_CONDITION
         assert "Traceback" not in capsys.readouterr().err
+
+
+_STARTUP_PROBE = """
+import sys
+from nilframe.cli import fixture_path, main
+
+def numpy_loaded():
+    return any(name.startswith("numpy.") for name in sys.modules)
+
+example2 = str(fixture_path("example2.json"))
+out = sys.argv[1]
+for argv in (
+    ["validate", "--config", example2, "--out", out],
+    ["analyze", "--config", example2, "--out", out],
+    ["design", "--config", example2, "--out", out],
+    ["synthesize", "--config", example2, "--out", out],
+    ["examples"],
+):
+    assert main(argv) == 0, argv
+    assert not numpy_loaded(), argv
+assert main(["verify", "--config", str(fixture_path("heisenberg.json")), "--out", out]) == 0
+assert numpy_loaded()
+"""
+
+
+def test_certified_commands_start_without_numpy(tmp_path):
+    # a fresh interpreter: this one has imported numpy already
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path / "out.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    import numpy
+
+    import nilframe.verify
+
+    assert nilframe.verify.np is sys.modules["numpy"] is numpy

@@ -25,6 +25,7 @@ from nilframe.verify import (
     gram_orthonormality_check,
     make_aligned_grid,
     make_test_field,
+    sample_window,
     window_tiling_check,
 )
 from nilframe.windows import FieldNode, build_generator_field, synthesize_window
@@ -175,7 +176,7 @@ class TestModulatedPairings:
         node = make_node(heisenberg_module, desk_params(), (F(1, 2),))
         grid = desk_grid()
         x = grid.axes()[0]
-        w = node.window.sample_grid([x]) * node.window.scale * node.normalization
+        w = sample_window(node.window, [x]) * node.window.scale * node.normalization
         test = np.exp(-((x - 0.5) ** 2) / (2 * 0.08**2)).astype(complex)
         prod = test * np.conj(_shift_with_zeros(w, grid.shift_steps((1,), desk_params().b)))
         k_vecs = [(k,) for k in range(-16, 17)]
@@ -187,7 +188,7 @@ class TestModulatedPairings:
         mod = node.lattice.modulation
         assert mod[0][1] != 0 and mod[1][0] != 0
         grid = make_aligned_grid((F(3), F(3)), [1, 1], [2, 2], [16, 16])
-        w = node.window.sample_grid(grid.axes()) * node.window.scale * node.normalization
+        w = sample_window(node.window, grid.axes()) * node.window.scale * node.normalization
         profile = gaussian_profile([1 / 6, 1 / 4], [0.05, 0.07])
         test = np.asarray(profile(grid.mesh()), dtype=complex)
         prod = test * np.conj(_shift_with_zeros(w, grid.shift_steps((0, -1), params.b)))
@@ -437,7 +438,7 @@ class TestFrameEnergyRatio:
         values = {}
         density = {}
         for node in desk_field.nodes:
-            w = node.window.sample_grid([x]) * node.window.scale * node.normalization
+            w = sample_window(node.window, [x]) * node.window.scale * node.normalization
             values[node.lam] = w.astype(complex)
             density[node.lam] = abs(float(node.lattice.det_b))
         psi_self = BandlimitedField(
@@ -697,7 +698,7 @@ class TestGram:
             def act(gamma):
                 k_vec, n_vec = gamma
                 shifted = [axes[t] - n_vec[t] * b_steps[t] for t in range(2)]
-                w = node.window.sample_grid(shifted) * node.window.scale
+                w = sample_window(node.window, shifted) * node.window.scale
                 freq = mod @ np.array([float(k) for k in k_vec])
                 phase = mesh[0] * freq[0] + mesh[1] * freq[1]
                 return w * np.exp(2j * np.pi * phase)
