@@ -62,7 +62,7 @@ trunc = TruncationSpec(m_half=(32,), k_half=(16,), n_half=(16,))
 print("\nframe energy ratios (Parseval target 1):")
 for i, (lc, xc, xw) in enumerate([(0.55, 0.45, 0.07), (0.42, 0.52, 0.09), (0.66, 0.38, 0.06)]):
     psi = make_test_field(
-        spec, field, grid,
+        field, grid,
         spectral_profile=bump_profile(lc, 0.12),
         space_profile=gaussian_profile([xc], [xw]),
     )

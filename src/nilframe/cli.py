@@ -179,7 +179,7 @@ def _stage_verify(config: ConfigDocument, report: dict, field: FrameGeneratorFie
     centers = [0.5 / float(params.b[k]) for k in range(d)]
     widths = [0.08 / float(params.b[k]) for k in range(d)]
     test = gaussian_profile(centers, widths)(mesh).astype(complex)
-    eligible = sorted(field.nodes, key=lambda n: abs(float(n.lattice.det_b)), reverse=True)
+    eligible = sorted(field.nodes, key=lambda n: n.density, reverse=True)
     eligible = eligible[: max(1, len(eligible) // 2)]
     probe = sorted({0, len(eligible) // 2, len(eligible) - 1})
     defects = []
@@ -191,13 +191,13 @@ def _stage_verify(config: ConfigDocument, report: dict, field: FrameGeneratorFie
 
     ratios = []
     (lo, hi), = field.box.region()
+    lam_widths = [0.1 * float(h - l) for l, h in zip(lo, hi)]
     for i in range(ver.test_fields):
-        lam_center = float(lo[0] + (hi[0] - lo[0]) * Fraction(45 + 7 * i, 100))
+        lam_center = [float(l + (h - l) * Fraction(45 + 7 * i, 100)) for l, h in zip(lo, hi)]
         psi = make_test_field(
-            spec,
             field,
             x_grid,
-            spectral_profile=bump_profile(lam_center, 0.1 * float(hi[0] - lo[0])),
+            spectral_profile=bump_profile(lam_center, lam_widths),
             space_profile=gaussian_profile(
                 [c - 0.02 * i for c in centers], [w * (1.0 + 0.15 * i) for w in widths]
             ),

@@ -10,10 +10,13 @@ Modulations factor over the axes of the product x-grid, exp(-2 pi i x.Bk) =
 prod_a exp(-2 pi i x_a (Bk)_a): with one phase table per axis and node, each
 (translation, node) pair costs one matrix product for every k at once.
 
-The λ-grid Fourier step is exact at grid level: coefficients are taken over
-one period of distinct alias classes of the grid, so requesting more central
-indices than the grid resolves cannot double-count energy; the clipping is
-reported, never hidden.
+The λ side is read from the generator field alone: its usable nodes, their
+float densities |det B(λ)| and its cell volume; a test field holds only
+x-samples, one array per usable node.  The λ-grid Fourier step is exact at
+grid level: coefficients are taken over one alias period of the grid,
+a N/(hi - lo) per axis for N nodes on [lo, hi] (a fractional period is
+rejected), so requesting more central indices than the grid resolves cannot
+double-count energy; the clipping is reported, never hidden.
 
 The tiling certificate and the Gram diagnostic read one piece-cell view of
 each window (``PiecewiseBoxWindow.cells`` and ``lattice_cells``).  Its
@@ -50,8 +53,7 @@ from .intlattice import (
     residue,
 )
 from .lattice import FiberGaborLattice, QuasiLatticeParams, fiber_lattice
-from .rationals import format_rational_vector
-from .spectral import density_polynomial
+from .rationals import format_rational, format_rational_vector
 from .windows import FieldNode, FrameGeneratorField, PiecewiseBoxWindow
 
 
@@ -191,59 +193,44 @@ class TruncationSpec:
 
 @dataclass
 class BandlimitedField:
-    """Samples of a spectral-domain field on (λ grid) x (x grid)."""
+    """x-samples of a spectral-domain field at the usable nodes of a
+    generator field: ``values`` maps each node's λ to its samples on
+    ``x_grid``.  The λ-grid, cell volume and densities are the generator's."""
 
-    axes: tuple[tuple[Fraction, ...], ...]
     x_grid: XGrid
     values: dict[tuple[Fraction, ...], np.ndarray]
-    density: dict[tuple[Fraction, ...], float]
-    cell_volume: float  # λ-cell volume
 
-    def norm_sq(self) -> float:
+    def norm_sq(self, generator: FrameGeneratorField) -> float:
+        """Quadrature of the spectral norm over the generator's nodes."""
         total = 0.0
         xcell = self.x_grid.cell_volume
-        for lam, arr in self.values.items():
-            total += float(np.sum(np.abs(arr) ** 2)) * xcell * self.density[lam] * self.cell_volume
+        lam_cell = float(generator.cell_volume)
+        for node in generator.nodes:
+            arr = self.values[node.lam]
+            total += float(np.sum(np.abs(arr) ** 2)) * xcell * node.density * lam_cell
         return total
 
     def scaled(self, factor: complex) -> "BandlimitedField":
         return BandlimitedField(
-            axes=self.axes,
             x_grid=self.x_grid,
             values={lam: factor * arr for lam, arr in self.values.items()},
-            density=self.density,
-            cell_volume=self.cell_volume,
         )
 
 
 def make_test_field(
-    spec: LieAlgebraSpec,
     generator: FrameGeneratorField,
     x_grid: XGrid,
     spectral_profile: Callable[[np.ndarray], np.ndarray],
     space_profile: Callable[[list[np.ndarray]], np.ndarray],
 ) -> BandlimitedField:
-    """Product-form field profile(λ) * profile(x) on the generator's λ-grid.
-
-    The λ-nodes and cell volume are the generator's own; the density
-    |det B(λ)| of ``spec`` is sampled at every node, skipped ones included.
-    """
-    det_b = density_polynomial(spec)
+    """Product-form field profile(λ) * profile(x), sampled at the usable
+    nodes of the generator; skipped nodes get no array."""
     base = np.asarray(space_profile(x_grid.mesh()), dtype=complex)
     values = {}
-    density = {}
-    for lam in product(*generator.axes):
-        lam_f = np.array([float(x) for x in lam])
-        amp = complex(spectral_profile(lam_f))
-        values[lam] = amp * base
-        density[lam] = abs(det_b.evaluate_float([float(x) for x in lam]))
-    return BandlimitedField(
-        axes=generator.axes,
-        x_grid=x_grid,
-        values=values,
-        density=density,
-        cell_volume=float(generator.cell_volume),
-    )
+    for node in generator.nodes:
+        amp = complex(spectral_profile(np.array([float(x) for x in node.lam])))
+        values[node.lam] = amp * base
+    return BandlimitedField(x_grid=x_grid, values=values)
 
 
 def gaussian_profile(centers: Sequence[float], widths: Sequence[float]):
@@ -256,7 +243,9 @@ def gaussian_profile(centers: Sequence[float], widths: Sequence[float]):
     return profile
 
 
-def bump_profile(center: float, width: float):
+def bump_profile(center: float | Sequence[float], width: float | Sequence[float]):
+    """Gaussian bump in λ; center and width are scalars or per-axis lists."""
+
     def profile(lam: np.ndarray) -> float:
         r = float(np.sum(((lam - center) / width) ** 2))
         return math.exp(-r / 2.0)
@@ -401,7 +390,7 @@ def fiber_parseval_defect(
     normalized window, which by construction is the plain Gabor system of the
     synthesized window.
     """
-    r_val = abs(float(node.lattice.det_b))
+    r_val = node.density
     if r_val == 0.0:
         raise ZeroDivisionError("degenerate fiber")
     prefactor = float(params.prod_a) * r_val  # squared frame weight
@@ -426,7 +415,6 @@ class RatioReport:
     ratio: float
     energy: float
     norm_sq: float
-    m_values: tuple[tuple[int, ...], ...]
     m_clipped: bool
     skipped_nodes: int
     tail_fraction: float
@@ -442,19 +430,23 @@ class RatioReport:
         }
 
 
-def _alias_free_m_values(m_half: Sequence[int], node_counts: Sequence[int]):
-    """Central index lists per axis, clipped to one alias period of the grid."""
+def _alias_free_m_values(m_half: Sequence[int], generator: FrameGeneratorField):
+    """Central index lists per axis, clipped to one alias period of the grid:
+    N nodes on [lo, hi] step by (hi - lo)/N, so the phases λ/a of m and of
+    m + a N/(hi - lo) differ by one constant; that period must be an integer."""
+    (lo, hi), = generator.box.region()
     axes = []
     clipped = False
-    for h, n_nodes in zip(m_half, node_counts):
-        requested = 2 * h + 1
-        if requested > n_nodes:
-            clipped = True
-            count = n_nodes
-        else:
-            count = requested
-        lo = -((count - 1) // 2)
-        axes.append(list(range(lo, lo + count)))
+    for t, (h, n_nodes) in enumerate(zip(m_half, generator.grid_shape)):
+        period = generator.box.a[t] * n_nodes / (hi[t] - lo[t])
+        if period.denominator != 1:
+            raise SchemaError(
+                "verify",
+                f"λ-grid axis {t}: alias period {format_rational(period)} is not an integer",
+            )
+        count = min(2 * h + 1, int(period))
+        clipped = clipped or count < 2 * h + 1
+        axes.append(list(range(-((count - 1) // 2), count // 2 + 1)))
     return axes, clipped
 
 
@@ -466,43 +458,45 @@ def frame_energy_ratio(
     """Frame energy of psi against the generator's quasi-lattice system,
     relative to the spectral norm of psi.
 
-    psi samples the generator's λ-grid (as ``make_test_field`` builds it) on
-    an x-grid aligned to ``generator.params.b``.  For each reduced-lattice
-    element the fiber inner products weighted by the Plancherel density are
-    expanded against the exponential family of the box over the λ-grid; the
-    central index range is clipped to the grid's alias classes and the
-    clipping is reported.  A Parseval system drives the ratio to one from
-    below as truncations grow.
+    psi holds x-samples at every usable node of the generator (as
+    ``make_test_field`` builds it) on an x-grid aligned to
+    ``generator.params.b``; the λ-grid, cell volume and densities are the
+    generator's.  For each reduced-lattice element the fiber inner products
+    weighted by the density are expanded against the exponential family of
+    the box over the λ-grid; the central index range is clipped to one alias
+    period of the grid and the clipping is reported.  A Parseval system
+    drives the ratio to one from below as truncations grow.
     """
-    if psi.axes != generator.axes:
-        raise SchemaError("verify", "psi and generator must share the λ-grid")
     nodes = generator.nodes
     if not nodes:
         raise SchemaError("verify", "generator field has no usable nodes")
-    norm_sq = psi.norm_sq()
+    missing = [node.lam for node in nodes if node.lam not in psi.values]
+    if missing:
+        lam = ", ".join(format_rational(x) for x in missing[0])
+        raise SchemaError("verify", f"psi has no samples at λ = ({lam})")
+    norm_sq = psi.norm_sq(generator)
     if norm_sq == 0.0:
         raise ValueError("zero test field")
-    x_grid = psi.x_grid
-    lam_cell = psi.cell_volume
-    b = generator.params.b
 
-    m_axes, m_clipped = _alias_free_m_values(trunc.m_half, generator.grid_shape)
-    m_values = [m for m in product(*m_axes)]
-    # exponential family over the λ-grid nodes actually present
-    lam_list = [node.lam for node in nodes]
-    e_mat = np.empty((len(m_values), len(lam_list)), dtype=complex)
+    m_axes, m_clipped = _alias_free_m_values(trunc.m_half, generator)
+    m_values = list(product(*m_axes))
+    # exponential family over the usable nodes, from each node's phases λ_t/a_t
+    a = generator.box.a
+    phases = [[float(lam_t / a_t) for lam_t, a_t in zip(node.lam, a)] for node in nodes]
+    e_mat = np.empty((len(m_values), len(nodes)), dtype=complex)
     for mi, m_vec in enumerate(m_values):
-        for li, lam in enumerate(lam_list):
-            ph = sum(float(lam[t] / generator.box.a[t]) * m_vec[t] for t in range(len(m_vec)))
+        for li, node_phases in enumerate(phases):
+            ph = sum(p * m for p, m in zip(node_phases, m_vec))
             e_mat[mi, li] = np.exp(2j * np.pi * ph)
 
     # fiber inner products h[k, n, node] = <psi(λ), M_Bk T_n w(λ)>
+    b = generator.params.b
     h = np.stack(
-        [_fiber_pairings(node, psi.values[node.lam], trunc, x_grid, b) for node in nodes],
+        [_fiber_pairings(node, psi.values[node.lam], trunc, psi.x_grid, b) for node in nodes],
         axis=-1,
     )
-    h *= np.array([psi.density[lam] for lam in lam_list])
-    coeffs = h @ e_mat.T * lam_cell
+    h *= np.array([node.density for node in nodes])
+    coeffs = h @ e_mat.T * float(generator.cell_volume)
     contribs = np.sum(np.abs(coeffs) ** 2, axis=-1)
 
     energy = tail = 0.0
@@ -517,7 +511,6 @@ def frame_energy_ratio(
         ratio=energy / norm_sq,
         energy=energy,
         norm_sq=norm_sq,
-        m_values=tuple(tuple(m) for m in m_values),
         m_clipped=m_clipped,
         skipped_nodes=len(generator.skipped),
         tail_fraction=tail_fraction,

@@ -147,15 +147,16 @@ def _stack_pieces(g, piece_limit: int):
         return [[0] * d], g
 
     w = lattice_sum_basis(g)  # basis of S = G Z^d + Z^d
+    w_inv = mat_inv(w)
     # in v = W^-1 u the tiling lattice is t_mat Z^d, the packing lattice W^-1 Z^d
-    t_mat = integer_matrix(mat_mul(mat_inv(w), g))
+    t_mat = integer_matrix(mat_mul(w_inv, g))
     det_t = int(mat_det(t_mat))
     if abs(det_t) > piece_limit:
         raise PieceOverflowError(
             f"stacking needs {abs(det_t)} pieces, over the budget of {piece_limit}"
         )
     adj_t = integer_matrix([[x * det_t for x in row] for row in mat_inv(t_mat)])
-    packing = hnf_columns(integer_matrix(mat_inv(w)))
+    packing = hnf_columns(integer_matrix(w_inv))
     h = hnf_columns(t_mat)
     used: set = set()
     offsets: list[list[int]] = []
@@ -220,6 +221,11 @@ class FieldNode:
     lattice: FiberGaborLattice
 
     @property
+    def density(self) -> float:
+        """The Plancherel density |det B(λ)| at the node, as a float."""
+        return abs(float(self.lattice.det_b))
+
+    @property
     def fiber_vector_norm_sq(self) -> float:
         """Norm^2 of the normalized fiber vector window * normalization."""
         return self.window.norm_sq * self.normalization**2
@@ -233,7 +239,6 @@ class FrameGeneratorField:
     params: QuasiLatticeParams
     box: SpectrumBox
     grid_shape: tuple[int, ...]
-    axes: tuple[tuple[Fraction, ...], ...]
     nodes: tuple[FieldNode, ...]
     skipped: tuple[tuple[tuple[Fraction, ...], str], ...]
     predicted_norm_sq: float | None
@@ -251,7 +256,7 @@ class FrameGeneratorField:
         cell = float(self.cell_volume)
         total = 0.0
         for node in self.nodes:
-            total += node.fiber_vector_norm_sq * abs(float(node.lattice.det_b)) * cell
+            total += node.fiber_vector_norm_sq * node.density * cell
         return total
 
 
@@ -299,11 +304,10 @@ def build_generator_field(
         raise DensityViolationError(
             f"wavelet role needs prod(a b q) = 1, got {format_rational(params.covolume)}"
         )
-    axes = centered_grid(box, grid_shape)
     prod_a = float(params.prod_a)
     nodes: list[FieldNode] = []
     skipped: list[tuple[tuple[Fraction, ...], str]] = []
-    for lam in product(*axes):
+    for lam in product(*centered_grid(box, grid_shape)):
         det_val = det_b.evaluate(lam)
         if det_val == 0 or abs(float(det_val)) < eps_degenerate:
             skipped.append((lam, "degenerate fiber"))
@@ -327,7 +331,6 @@ def build_generator_field(
         params=params,
         box=box,
         grid_shape=tuple(int(c) for c in grid_shape),
-        axes=axes,
         nodes=tuple(nodes),
         skipped=tuple(skipped),
         predicted_norm_sq=predicted,
@@ -349,23 +352,23 @@ def field_to_document(field: FrameGeneratorField) -> dict:
         "predicted_norm_sq": repr(field.predicted_norm_sq)
         if field.predicted_norm_sq is not None
         else None,
-        "nodes": [
-            {
-                "lam": [format_rational(x) for x in node.lam],
-                "scale": repr(node.window.scale),
-                "normalization": repr(node.normalization),
-                "pieces": [
-                    {
-                        "offset": [repr(float(o)) for o in off],
-                        "shape": [repr(float(v)) for row in node.window.shape for v in row],
-                    }
-                    for off in node.window.offsets
-                ],
-            }
-            for node in field.nodes
-        ],
+        "nodes": [_node_document(node) for node in field.nodes],
         "skipped": [
             {"lam": [format_rational(x) for x in lam], "reason": reason}
             for lam, reason in field.skipped
+        ],
+    }
+
+
+def _node_document(node: FieldNode) -> dict:
+    """One node's entry; its pieces share the shape, formatted once."""
+    shape = [repr(float(v)) for row in node.window.shape for v in row]
+    return {
+        "lam": [format_rational(x) for x in node.lam],
+        "scale": repr(node.window.scale),
+        "normalization": repr(node.normalization),
+        "pieces": [
+            {"offset": [repr(float(o)) for o in off], "shape": shape}
+            for off in node.window.offsets
         ],
     }

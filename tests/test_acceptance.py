@@ -265,7 +265,7 @@ def test_criterion_6_full_frame_identity():
             (bump_profile(0.66, 0.15), gaussian_profile([0.38], [0.06])),
         ]
         fields = [
-            make_test_field(spec, field, grid, spectral_profile=sp, space_profile=xp)
+            make_test_field(field, grid, spectral_profile=sp, space_profile=xp)
             for sp, xp in profiles
         ]
         for psi in fields:
@@ -293,7 +293,6 @@ def test_criterion_7_negative_controls():
 
         # scaling the generator by 2 scales the frame energy ratio to 4
         psi = make_test_field(
-            spec,
             field,
             grid,
             spectral_profile=bump_profile(0.55, 0.12),

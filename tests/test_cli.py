@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nilframe.cli import (
@@ -34,6 +36,13 @@ def desk_config_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def heisenberg_sub_box(lo, hi):
+    """The heisenberg fixture with its λ-grid on the sub-box [lo, hi]."""
+    doc = json.loads(fixture_path("heisenberg.json").read_text())
+    doc["spectrum"]["sub_boxes"] = [{"lo": [lo], "hi": [hi]}]
+    return parse_config(doc)
 
 
 class TestParseConfig:
@@ -216,6 +225,47 @@ class TestRunCommand:
         report, code = run_command("verify", config)
         assert code == EXIT_CONDITION
         assert report["verification"]["frame_ratios"][0]["ratio"] < 1.0
+
+    def test_verify_sub_box_grid_aliases_with_its_period(self):
+        # 16 nodes on [1/4, 3/4] of the unit box step by 1/32: the central
+        # indices alias with period 32, not 16, and every ratio closes to one
+        report, code = run_command("verify", heisenberg_sub_box("1/4", "3/4"))
+        assert code == EXIT_PASS
+        for ratio in report["verification"]["frame_ratios"]:
+            assert abs(ratio["ratio"] - 1.0) <= 1e-6
+
+    def test_verify_fractional_alias_period_is_input_error(self):
+        # 16 nodes on [0, 3/4]: the period 64/3 is not an integer
+        report, code = run_command("verify", heisenberg_sub_box("0", "3/4"))
+        assert code == EXIT_INPUT
+        assert report["error"]["field"] == "verify"
+        assert "axis 0" in report["error"]["message"]
+        assert "64/3" in report["error"]["message"]
+
+    def test_verify_bumps_centred_per_axis(self, monkeypatch):
+        # example2's box is (0, 2) x (0, 3): test field i peaks at
+        # (2, 3) * (45 + 7i)/100 with widths (0.2, 0.3), off the zero set l1 = l2
+        import nilframe.cli as cli
+
+        profiles = []
+        real = cli.make_test_field
+
+        def recording(*args, **kwargs):
+            profiles.append(kwargs["spectral_profile"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_test_field", recording)
+        doc = json.loads(fixture_path("example2.json").read_text())
+        doc["verification"].update(points_per_cell=[8, 8], k_half=[1, 1], n_half=[1, 1])
+        run_command("verify", parse_config(doc))
+        assert len(profiles) == 3
+        for i, profile in enumerate(profiles):
+            centre = [2 * (45 + 7 * i) / 100, 3 * (45 + 7 * i) / 100]
+            assert profile(np.array(centre)) == 1.0
+            for axis, width in enumerate((0.2, 0.3)):
+                off = list(centre)
+                off[axis] += width
+                assert profile(np.array(off)) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_examples_all_match(self):
         report, code = run_command("examples", None)

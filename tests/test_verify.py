@@ -9,6 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from nilframe.errors import SchemaError
 from nilframe.lattice import QuasiLatticeParams
 from nilframe.spectral import SpectrumBox
 from nilframe.verify import (
@@ -389,7 +390,6 @@ class TestFiberParsevalDefect:
 def psi(heisenberg_module, desk_field):
     grid = desk_grid()
     return make_test_field(
-        heisenberg_module,
         desk_field,
         grid,
         spectral_profile=bump_profile(0.55, 0.12),
@@ -427,7 +427,7 @@ class TestFrameEnergyRatio:
     def test_norm_matches_field_quadrature(self, heisenberg_module, desk_field, psi):
         trunc = TruncationSpec(m_half=(1,), k_half=(1,), n_half=(1,))
         rep = frame_energy_ratio(psi, desk_field, trunc)
-        assert rep.norm_sq == pytest.approx(psi.norm_sq(), rel=1e-12)
+        assert rep.norm_sq == pytest.approx(psi.norm_sq(desk_field), rel=1e-12)
 
     def test_generator_expanded_against_itself(self, heisenberg_module, desk_field):
         # psi = generator: samples of the indicator windows carry the whole
@@ -436,21 +436,49 @@ class TestFrameEnergyRatio:
         grid = desk_grid()
         x = grid.axes()[0]
         values = {}
-        density = {}
         for node in desk_field.nodes:
             w = sample_window(node.window, [x]) * node.window.scale * node.normalization
             values[node.lam] = w.astype(complex)
-            density[node.lam] = abs(float(node.lattice.det_b))
-        psi_self = BandlimitedField(
-            axes=desk_field.axes,
-            x_grid=grid,
-            values=values,
-            density=density,
-            cell_volume=float(desk_field.cell_volume),
-        )
+        psi_self = BandlimitedField(x_grid=grid, values=values)
         trunc = TruncationSpec(m_half=(8,), k_half=(16,), n_half=(16,))
         rep = frame_energy_ratio(psi_self, desk_field, trunc)
         assert rep.ratio == pytest.approx(1.0, abs=5e-2)
+
+    def test_missing_node_samples_rejected(self, desk_field, psi):
+        lam = desk_field.nodes[3].lam
+        values = {k: v for k, v in psi.values.items() if k != lam}
+        partial = BandlimitedField(x_grid=psi.x_grid, values=values)
+        trunc = TruncationSpec(m_half=(1,), k_half=(1,), n_half=(1,))
+        with pytest.raises(SchemaError) as err:
+            frame_energy_ratio(partial, desk_field, trunc)
+        assert err.value.field == "verify"
+        assert "7/32" in str(err.value)
+
+
+class TestMakeTestField:
+    def test_one_array_per_usable_node(self, example2):
+        # the 4x6 example2 grid has 24 nodes, 4 of them on the zero set l1 = l2
+        p = QuasiLatticeParams(a=(F(2), F(3)), q=(F(1), F(1)), b=(F(3), F(3)))
+        field = build_generator_field(example2, p, SpectrumBox(a=p.a), grid_shape=[4, 6])
+        grid = make_aligned_grid(p.b, [1, 1], [1, 1], [4, 4])
+        psi = make_test_field(
+            field,
+            grid,
+            spectral_profile=bump_profile([0.9, 1.35], [0.2, 0.3]),
+            space_profile=gaussian_profile([0.1, 0.1], [0.05, 0.05]),
+        )
+        assert len(field.skipped) == 4
+        assert len(psi.values) == 20
+        assert list(psi.values) == [node.lam for node in field.nodes]
+        assert all(v.shape == grid.counts for v in psi.values.values())
+
+    def test_norm_reads_the_generator_densities(self, desk_field, psi):
+        xcell = psi.x_grid.cell_volume
+        cell = float(desk_field.cell_volume)
+        expected = 0.0
+        for node in desk_field.nodes:
+            expected += float(np.sum(np.abs(psi.values[node.lam]) ** 2)) * xcell * node.density * cell
+        assert psi.norm_sq(desk_field) == expected
 
 
 class TestWindowTilingCheck:

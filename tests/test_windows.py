@@ -192,6 +192,15 @@ class TestGeneratorField:
         # rectangle-rule measure over the surviving grid nodes, divided by 54
         assert field.grid_measured_norm_sq() == pytest.approx(23.0 / 81.0, rel=2e-2)
 
+    def test_node_density_is_the_float_determinant(self, example2):
+        p = params_for([2, 3], [1, 1], [3, 3])
+        field = build_generator_field(example2, p, SpectrumBox(a=p.a), grid_shape=[4, 6])
+        det_b = density_polynomial(example2)
+        for node in field.nodes:
+            assert node.density == abs(float(node.lattice.det_b))
+            assert node.density == abs(float(det_b.evaluate(node.lam)))
+            assert node.density > 0.0
+
     def test_wavelet_field_unit_fibers(self, example3):
         p = params_for([1, 1, 1], [1, 1, 1], [1, 1, 1])
         box = SpectrumBox(a=(F(1), F(1), F(1)))
