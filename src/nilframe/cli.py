@@ -103,7 +103,6 @@ def _stage_design(
             config.algebra,
             box,
             q_hint=config.lattice.q,
-            sup_tol=config.spectrum.sup_tol,
             precision_digits=config.lattice.precision_digits,
             sup_result=sup,
         )
@@ -147,7 +146,7 @@ def _stage_synthesize(
     doc = field_to_document(field)
     target = out_path or config.output.field_path
     if target:
-        Path(target).write_text(canonical_json(doc))
+        write_output(target, canonical_json(doc), "out" if out_path else "output.field_path")
     report["synthesis"] = {
         "nodes": len(field.nodes),
         "skipped": len(field.skipped),
@@ -212,10 +211,10 @@ def _stage_verify(config: ConfigDocument, report: dict, field: FrameGeneratorFie
         gram = gram_orthonormality_check(field, small)
 
     if config.output.csv_path:
-        with open(config.output.csv_path, "w") as fh:
-            fh.write("lam,defect\n")
-            for lam, dval in defects:
-                fh.write(f"\"{';'.join(format_rational(x) for x in lam)}\",{dval!r}\n")
+        rows = "".join(
+            f"\"{';'.join(format_rational(x) for x in lam)}\",{dval!r}\n" for lam, dval in defects
+        )
+        write_output(config.output.csv_path, "lam,defect\n" + rows, "output.csv_path")
 
     ratio_ok = all(abs(r.ratio - 1.0) <= ver.ratio_tol for r in ratios)
     defect_ok = max(defect_values) <= ver.defect_tol
@@ -402,6 +401,14 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def write_output(path: str, text: str, field: str) -> None:
+    """Write ``text`` to ``path``; an unwritable path is an input error on ``field``."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise SchemaError(field, f"cannot write {path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -474,15 +481,16 @@ def main(argv: list[str] | None = None) -> int:
             timing=args.timing,
             example=args.example,
         )
+        text = canonical_json(report)
+        if args.out and args.command != "synthesize":
+            write_output(args.out, text, "out")
     except SchemaError as exc:
         print(canonical_json({"error": {"type": "schema", "field": exc.field, "message": str(exc)}}))
         return EXIT_INPUT
     except NilframeError as exc:
         print(canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return EXIT_INPUT
-    text = canonical_json(report)
     if args.out and args.command != "synthesize":
-        Path(args.out).write_text(text)
         print(f"report written to {args.out}", file=sys.stderr)
     else:
         print(text, end="")

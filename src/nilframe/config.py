@@ -7,6 +7,7 @@ Unknown keys are rejected so typos fail loudly; every error names the field.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -22,18 +23,18 @@ from .spectral import SpectrumBox
 @dataclass(frozen=True)
 class SpectrumConfig:
     box: SpectrumBox
-    sup_tol: float = 1e-9
-    measure_tol: float = 1e-9
-    sublevel_tol: float = 5e-2
-    eps_degenerate: float = 1e-12
+    sup_tol: float
+    measure_tol: float
+    sublevel_tol: float
+    eps_degenerate: float
 
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    q: tuple[Fraction, ...] | None = None
-    b: tuple[Fraction, ...] | None = None
-    onb_requested: bool = False
-    precision_digits: int = 12
+    q: tuple[Fraction, ...] | None
+    b: tuple[Fraction, ...] | None
+    onb_requested: bool
+    precision_digits: int
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,9 @@ class VerificationConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    field_path: str | None = None
-    csv_path: str | None = None
-    timing: bool = False
+    field_path: str | None
+    csv_path: str | None
+    timing: bool
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,31 @@ def _check_keys(obj: Mapping, allowed: set[str], path: str):
         raise SchemaError(path, f"unknown keys {sorted(unknown)}")
 
 
+def _section(doc: Mapping, name: str, allowed: set[str]) -> Mapping:
+    """The object at ``doc[name]``, empty when absent, with its keys checked."""
+    obj = doc.get(name, {})
+    if not isinstance(obj, dict):
+        raise SchemaError(name, f"expected an object, got {obj!r}")
+    _check_keys(obj, allowed, name)
+    return obj
+
+
 def _get_float(obj: Mapping, key: str, default: float, path: str) -> float:
     if key not in obj:
         return default
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{path}.{key}", f"expected a number, got {v!r}")
-    if v <= 0:
-        raise SchemaError(f"{path}.{key}", "must be positive")
+    if not 0 < v <= sys.float_info.max:
+        raise SchemaError(f"{path}.{key}", f"must be a positive finite number, got {v!r}")
     return float(v)
+
+
+def _get_path(obj: Mapping, key: str, path: str) -> str | None:
+    v = obj.get(key)
+    if v is not None and not isinstance(v, str):
+        raise SchemaError(f"{path}.{key}", f"expected a path string or null, got {v!r}")
+    return v
 
 
 def _get_int_vector(obj: Mapping, key: str, path: str, length: int, fill: int) -> tuple[int, ...]:
@@ -122,17 +139,17 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
         raise SchemaError("config.algebra", "missing")
     algebra = load_spec(doc["algebra"], label=str(doc.get("label", "")))
 
-    spectrum_raw = doc.get("spectrum", {})
-    _check_keys(
-        spectrum_raw,
-        {"a", "sub_boxes", "sup_tol", "measure_tol", "sublevel_tol", "eps_degenerate"},
-        "spectrum",
+    spectrum_raw = _section(
+        doc, "spectrum", {"a", "sub_boxes", "sup_tol", "measure_tol", "sublevel_tol", "eps_degenerate"}
     )
     if "a" not in spectrum_raw:
         raise SchemaError("spectrum.a", "missing")
     a = parse_rational_vector(spectrum_raw["a"], algebra.center_dim, "spectrum.a")
+    sub_boxes_raw = spectrum_raw.get("sub_boxes", [])
+    if not isinstance(sub_boxes_raw, list):
+        raise SchemaError("spectrum.sub_boxes", f"expected a list, got {sub_boxes_raw!r}")
     sub_boxes = []
-    for i, entry in enumerate(spectrum_raw.get("sub_boxes", [])):
+    for i, entry in enumerate(sub_boxes_raw):
         if not isinstance(entry, dict) or set(entry) != {"lo", "hi"}:
             raise SchemaError(f"spectrum.sub_boxes[{i}]", "expected an object with lo and hi")
         lo = parse_rational_vector(entry["lo"], algebra.center_dim, f"spectrum.sub_boxes[{i}].lo")
@@ -147,8 +164,7 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
         eps_degenerate=_get_float(spectrum_raw, "eps_degenerate", 1e-12, "spectrum"),
     )
 
-    lattice_raw = doc.get("lattice", {})
-    _check_keys(lattice_raw, {"q", "b", "onb_requested", "precision_digits"}, "lattice")
+    lattice_raw = _section(doc, "lattice", {"q", "b", "onb_requested", "precision_digits"})
     q = (
         parse_rational_vector(lattice_raw["q"], algebra.d, "lattice.q")
         if "q" in lattice_raw
@@ -167,9 +183,9 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
         raise SchemaError("lattice.precision_digits", "expected a positive integer")
     lattice = LatticeConfig(q=q, b=b, onb_requested=onb, precision_digits=digits)
 
-    verification_raw = doc.get("verification", {})
-    _check_keys(
-        verification_raw,
+    verification_raw = _section(
+        doc,
+        "verification",
         {
             "lam_grid",
             "points_per_cell",
@@ -183,7 +199,6 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
             "test_fields",
             "piece_limit",
         },
-        "verification",
     )
     test_fields = verification_raw.get("test_fields", 3)
     if not isinstance(test_fields, int) or isinstance(test_fields, bool) or test_fields < 1:
@@ -207,14 +222,13 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
         piece_limit=piece_limit,
     )
 
-    output_raw = doc.get("output", {})
-    _check_keys(output_raw, {"field_path", "csv_path", "timing"}, "output")
+    output_raw = _section(doc, "output", {"field_path", "csv_path", "timing"})
     timing = output_raw.get("timing", False)
     if not isinstance(timing, bool):
         raise SchemaError("output.timing", "expected a boolean")
     output = OutputConfig(
-        field_path=output_raw.get("field_path"),
-        csv_path=output_raw.get("csv_path"),
+        field_path=_get_path(output_raw, "field_path", "output"),
+        csv_path=_get_path(output_raw, "csv_path", "output"),
         timing=timing,
     )
     return ConfigDocument(

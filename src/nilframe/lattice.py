@@ -7,6 +7,7 @@ bracketed branch-and-bound results where a supremum or measure enters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -19,7 +20,6 @@ from .spectral import (
     MeasureResult,
     SpectrumBox,
     SupResult,
-    density_polynomial,
     spectral_measure,
     sup_density,
 )
@@ -46,15 +46,15 @@ class QuasiLatticeParams:
 
     @property
     def prod_a(self) -> Fraction:
-        return _prod(self.a)
+        return math.prod(self.a)
 
     @property
     def prod_q(self) -> Fraction:
-        return _prod(self.q)
+        return math.prod(self.q)
 
     @property
     def prod_b(self) -> Fraction:
-        return _prod(self.b)
+        return math.prod(self.b)
 
     @property
     def prod_bq(self) -> Fraction:
@@ -71,13 +71,6 @@ class QuasiLatticeParams:
             "q": [format_rational(x) for x in self.q],
             "b": [format_rational(x) for x in self.b],
         }
-
-
-def _prod(xs: Sequence[Fraction]) -> Fraction:
-    out = Fraction(1)
-    for x in xs:
-        out *= x
-    return out
 
 
 @dataclass(frozen=True)
@@ -139,6 +132,14 @@ def fiber_lattice(
 # condition reports
 # ---------------------------------------------------------------------------
 
+# a measure bracket counts as equal to its basis target within this tolerance
+BASIS_TOL = 1e-9
+# certification tolerances of the per-piece sup and measure in the necessary bounds
+BOUNDS_SUP_TOL = 1e-9
+BOUNDS_MEASURE_TOL = 1e-7
+# box budget of the sublevel measure in the wavelet discretization check
+SUBLEVEL_MAX_BOXES = 200_000
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -169,7 +170,7 @@ def check_density_condition(
 ) -> ConditionReport:
     """Uniform density condition: certified sup of the Plancherel density over
     the box must not exceed prod(b_i q_i); ties count as satisfied."""
-    det_b = density_polynomial(spec)
+    det_b = spec.matrices.det_b
     if sup_result is None:
         sup_result = sup_density(det_b, box, tol=tol)
     bound = params.prod_bq
@@ -212,13 +213,13 @@ def design_params(
     over the same box is used as is.
     """
     if sup_result is None:
-        sup_result = sup_density(density_polynomial(spec), box, tol=sup_tol)
+        sup_result = sup_density(spec.matrices.det_b, box, tol=sup_tol)
     d = spec.d
     if q_hint is not None:
         q = tuple(Fraction(x) for x in q_hint)
         if len(q) != d:
             raise SchemaError("lattice.q", f"expected {d} entries")
-        inv_prod = _prod([1 / x for x in q])
+        inv_prod = math.prod(1 / x for x in q)
         if inv_prod > 1:
             raise SchemaError(
                 "lattice.q", f"hint violates prod(1/q_i) = {format_rational(inv_prod)} <= 1"
@@ -233,7 +234,6 @@ def design_params(
 def check_onb_condition(
     params: QuasiLatticeParams,
     mu_box: MeasureResult | Fraction,
-    tol: float = 1e-9,
 ) -> ConditionReport:
     """Basis criterion: the spectral measure of the box must equal
     prod(a) * prod(q b).  On failure, reports the uniform q that would close
@@ -246,7 +246,7 @@ def check_onb_condition(
     else:
         mu_lo = mu_hi = Fraction(mu_box)
         mu_val = float(mu_box)
-    tol_f = Fraction(str(tol)) if tol else Fraction(0)
+    tol_f = Fraction(str(BASIS_TOL))
     passed = (mu_lo - tol_f) <= target <= (mu_hi + tol_f)
     margins: dict = {
         "mu_box": mu_val,
@@ -303,15 +303,13 @@ def check_necessary_bounds(
     mu_box: MeasureResult | Fraction,
     multiplicity: StepMultiplicity,
     box: SpectrumBox,
-    sup_tol: float = 1e-9,
-    measure_tol: float = 1e-7,
 ) -> ConditionReport:
     """Necessary conditions for a single Parseval generator and for wavelets.
 
     Sub-reports: total measure bound, superframe density bound, wavelet
     multiplicity bound, and the admissibility norm of the subspace.
     """
-    det_b = density_polynomial(spec)
+    det_b = spec.matrices.det_b
     subs: list[ConditionReport] = []
 
     mu_lo, mu_hi = (
@@ -342,14 +340,14 @@ def check_necessary_bounds(
     for lo, hi, m in multiplicity.pieces:
         sub_box = SpectrumBox(a=tuple(box.a), sub_boxes=((lo, hi),))
         if m > 0:
-            sup_piece = sup_density(det_b, sub_box, tol=sup_tol)
+            sup_piece = sup_density(det_b, sub_box, tol=BOUNDS_SUP_TOL)
             super_margin = max(super_margin, float(m * sup_piece.upper / params.prod_bq))
             if m * sup_piece.upper > params.prod_bq:
                 super_ok = False
             wavelet_margin = max(wavelet_margin, float(m * sup_piece.upper * params.prod_a))
             if m * sup_piece.upper > inv_prod_a:
                 wavelet_ok = False
-            mu_piece = spectral_measure(det_b, sub_box, tol=measure_tol)
+            mu_piece = spectral_measure(det_b, sub_box, tol=BOUNDS_MEASURE_TOL)
             norm_lo += m * mu_piece.lower
             norm_hi += m * mu_piece.upper
     subs.append(
@@ -391,9 +389,7 @@ def check_wavelet_discretization(
     spec: LieAlgebraSpec,
     params: QuasiLatticeParams,
     box: SpectrumBox,
-    tol: float = 1e-9,
     measure_tol: float = 5e-2,
-    max_boxes: int = 200_000,
 ) -> ConditionReport:
     """Discretizable-wavelet conditions.
 
@@ -404,9 +400,9 @@ def check_wavelet_discretization(
     open contributes the exact integrals of lower and upper models of the
     clipped density built on its linear Taylor model, and boxes are refined
     until their bracket widths sum to at most 0.6 measure_tol.  Second
-    verdict: that mass equals one within tol (the basis case).
+    verdict: that mass equals one within BASIS_TOL (the basis case).
     """
-    det_b = density_polynomial(spec)
+    det_b = spec.matrices.det_b
     product = params.covolume
     product_ok = product == 1
     sub = spectral_measure(
@@ -414,11 +410,11 @@ def check_wavelet_discretization(
         box,
         tol=measure_tol,
         threshold=params.prod_bq,
-        max_boxes=max_boxes,
+        max_boxes=SUBLEVEL_MAX_BOXES,
         strict=False,
     )
     nonempty = sub.witness_box is not None and sub.lower > 0
-    basis_ok = abs(sub.value - 1.0) <= tol and float(sub.width) <= tol
+    basis_ok = abs(sub.value - 1.0) <= BASIS_TOL and float(sub.width) <= BASIS_TOL
     margins = {
         "product": format_rational(product),
         "sublevel_measure": sub.value,

@@ -52,7 +52,7 @@ from .intlattice import (
 )
 from .lattice import FiberGaborLattice, QuasiLatticeParams, fiber_lattice
 from .rationals import format_rational
-from .spectral import MeasureResult, SpectrumBox, density_polynomial
+from .spectral import MeasureResult, SpectrumBox
 
 
 @dataclass(frozen=True)
@@ -197,14 +197,16 @@ class WindowNormReport:
         return {"passed": self.passed, "measured": self.measured, "expected": self.expected}
 
 
-def window_norm_check(
-    window: PiecewiseBoxWindow, lattice: FiberGaborLattice, tol: float = 1e-9
-) -> WindowNormReport:
+# float tolerance of the window norm re-check against the lattice volume
+NORM_TOL = 1e-9
+
+
+def window_norm_check(window: PiecewiseBoxWindow, lattice: FiberGaborLattice) -> WindowNormReport:
     """Parseval windows must satisfy norm^2 = lattice volume."""
     measured = window.norm_sq
     expected = float(lattice.volume)
     return WindowNormReport(
-        passed=abs(measured - expected) <= tol, measured=measured, expected=expected
+        passed=abs(measured - expected) <= NORM_TOL, measured=measured, expected=expected
     )
 
 
@@ -286,7 +288,7 @@ def build_generator_field(
     box: SpectrumBox,
     grid_shape: Sequence[int],
     role: str = "frame",
-    mu_box: MeasureResult | Fraction | None = None,
+    mu_box: MeasureResult | None = None,
     eps_degenerate: float = 1e-12,
     piece_limit: int = 4096,
 ) -> FrameGeneratorField:
@@ -299,7 +301,6 @@ def build_generator_field(
     """
     if role not in ("frame", "wavelet"):
         raise SchemaError("role", f"unknown role {role!r}")
-    det_b = density_polynomial(spec)
     if role == "wavelet" and params.covolume != 1:
         raise DensityViolationError(
             f"wavelet role needs prod(a b q) = 1, got {format_rational(params.covolume)}"
@@ -308,24 +309,22 @@ def build_generator_field(
     nodes: list[FieldNode] = []
     skipped: list[tuple[tuple[Fraction, ...], str]] = []
     for lam in product(*centered_grid(box, grid_shape)):
-        det_val = det_b.evaluate(lam)
-        if det_val == 0 or abs(float(det_val)) < eps_degenerate:
+        lat = fiber_lattice(spec, params, lam)
+        if lat.det_b == 0 or abs(float(lat.det_b)) < eps_degenerate:
             skipped.append((lam, "degenerate fiber"))
             continue
-        if role == "wavelet" and abs(det_val) > params.prod_bq:
+        if role == "wavelet" and lat.volume > 1:
             skipped.append((lam, "outside sublevel region"))
             continue
-        lat = fiber_lattice(spec, params, lam)
         window = synthesize_window(lat, piece_limit=piece_limit)
-        normalization = 1.0 / math.sqrt(prod_a * abs(float(det_val)))
+        normalization = 1.0 / math.sqrt(prod_a * abs(float(lat.det_b)))
         node = FieldNode(lam=lam, window=window, normalization=normalization, lattice=lat)
         if role == "wavelet":
             assert abs(node.fiber_vector_norm_sq - 1.0) <= 1e-9
         nodes.append(node)
     predicted = None
     if mu_box is not None:
-        mu_val = mu_box.value if isinstance(mu_box, MeasureResult) else float(mu_box)
-        predicted = mu_val / float(params.covolume)
+        predicted = mu_box.value / float(params.covolume)
     return FrameGeneratorField(
         role=role,
         params=params,

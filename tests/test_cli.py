@@ -443,6 +443,75 @@ class TestMainEntry:
         assert "Traceback" not in capsys.readouterr().err
 
 
+# a path under a directory that does not exist, placed under the test's tmp_path
+MISSING = "missing/out.json"
+
+
+@pytest.mark.parametrize(
+    "command, edit, extra, field",
+    [
+        ("verify", {}, ["--tol", "nan"], "spectrum.sup_tol"),
+        ("verify", {}, ["--tol", "inf"], "spectrum.sup_tol"),
+        ("verify", {}, ["--tol", "1e400"], "spectrum.sup_tol"),
+        ("verify", {"verification": {"ratio_tol": math.nan}}, [], "verification.ratio_tol"),
+        ("validate", {"output": 5}, [], "output"),
+        ("validate", {"verification": []}, [], "verification"),
+        ("validate", {"lattice": None}, [], "lattice"),
+        ("validate", {"spectrum": {"sub_boxes": 5}}, [], "spectrum.sub_boxes"),
+        ("synthesize", {"output": {"field_path": 5}}, [], "output.field_path"),
+        ("verify", {"output": {"csv_path": 1}}, [], "output.csv_path"),
+        ("analyze", {}, ["--out", MISSING], "out"),
+        ("synthesize", {}, ["--out", MISSING], "out"),
+        ("synthesize", {"output": {"field_path": MISSING}}, [], "output.field_path"),
+        ("verify", {"output": {"csv_path": MISSING}}, [], "output.csv_path"),
+    ],
+    ids=[
+        "tol-nan",
+        "tol-inf",
+        "tol-overflow",
+        "ratio-tol-nan",
+        "output-int",
+        "verification-list",
+        "lattice-null",
+        "sub-boxes-int",
+        "field-path-int",
+        "csv-path-int",
+        "report-out-missing-dir",
+        "field-out-missing-dir",
+        "field-path-missing-dir",
+        "csv-path-missing-dir",
+    ],
+)
+def test_config_and_output_errors_exit_3(tmp_path, command, edit, extra, field):
+    # each edit merges into a section of the heisenberg fixture, or replaces
+    # a section that is not an object; a fresh interpreter, since a bad
+    # output path can reach the process's own file descriptors
+    missing = str(tmp_path / MISSING)
+    doc = json.loads(fixture_path("heisenberg.json").read_text())
+    for section, value in edit.items():
+        if isinstance(value, dict):
+            doc.setdefault(section, {}).update(
+                {k: missing if v == MISSING else v for k, v in value.items()}
+            )
+        else:
+            doc[section] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg)] + [missing if a == MISSING else a for a in extra]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilframe.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=300,
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == EXIT_INPUT
+    assert json.loads(proc.stdout)["error"]["field"] == field
+
+
 _STARTUP_PROBE = """
 import sys
 from nilframe.cli import fixture_path, main

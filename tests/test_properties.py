@@ -1,5 +1,7 @@
 """Cross-cutting invariants, randomized where that adds coverage."""
 
+import copy
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +11,9 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from nilframe.algebra import basis_vector, bracket, load_spec, validate_class
-from nilframe.errors import PieceOverflowError
+from nilframe.cli import fixture_path
+from nilframe.config import parse_config
+from nilframe.errors import PieceOverflowError, SchemaError
 from nilframe.lattice import (
     QuasiLatticeParams,
     check_density_condition,
@@ -201,3 +205,51 @@ def test_synthesized_windows_certify_and_need_every_piece(seed):
             broken = replace(window, offsets=window.offsets[:i] + window.offsets[i + 1 :])
             rep = window_tiling_check([(broken, lat)])
             assert not rep.passed and rep.max_tiling_deviation == 1
+
+
+def _slots(node, path=()):
+    """Key paths of every section and leaf below a JSON node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _slots(value, path + (key,))
+
+
+# the heisenberg fixture with every optional section present, so each can be replaced
+_FUZZ_BASE = json.loads(fixture_path("heisenberg.json").read_text())
+_FUZZ_BASE["spectrum"]["sub_boxes"] = [{"lo": ["0"], "hi": ["1/2"]}]
+_FUZZ_BASE["output"] = {"field_path": None, "csv_path": None, "timing": False}
+
+# no "e" or "E" in strings: Fraction("1e10000000") is a valid rational that
+# takes seconds to build, a work-sizing input rather than a schema error
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.floats()
+    | st.text(alphabet="0123456789/-+. _,aXYZ", max_size=6)
+)
+_json_values = (
+    _json_scalars
+    | st.lists(_json_scalars, max_size=3)
+    | st.dictionaries(st.text(alphabet="abloqhi", max_size=4), _json_scalars, max_size=3)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(slot=st.sampled_from(list(_slots(_FUZZ_BASE))), value=_json_values)
+def test_parse_config_accepts_or_raises_schema_error(slot, value):
+    doc = copy.deepcopy(_FUZZ_BASE)
+    parent = doc
+    for key in slot[:-1]:
+        parent = parent[key]
+    parent[slot[-1]] = value
+    try:
+        parse_config(doc)
+    except SchemaError:
+        pass
