@@ -132,6 +132,8 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        except ValueError as exc:  # an integer literal past the int-to-str digit limit
+            raise SchemaError("config", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("config", "top level must be an object")
     _check_keys(doc, {"algebra", "spectrum", "lattice", "verification", "output", "label"}, "config")

@@ -24,6 +24,9 @@ def parse_rational(value, field: str = "value") -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        # Fraction also reads exponents, and "1e10000000" would take seconds
+        if "e" in value or "E" in value:
+            raise SchemaError(field, f"not a rational: {value!r} (no exponents)")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

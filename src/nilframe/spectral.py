@@ -16,6 +16,15 @@ with its own.  One function brackets an open box in either mode, from the
 interval bounds and this model.  Both routines run on integer numerators
 over dyadic common denominators and build one Fraction per region for the
 returned bracket; floats only steer the refinement order.
+
+The per-box integer evaluators (bounds, values, the centered bound, the
+Taylor model and its remainder, integrals) are compiled per polynomial
+(``kernels``): Python source is generated from the integer term table of
+the scaled polynomial and compiled once, as straight-line code with one
+expression per Taylor coefficient and no loop over monomials.  It performs
+the same integer arithmetic in another order, so every bracket is
+unchanged.  A small cache keyed on the term table lets the sup and both
+measures of one job share one compile.
 """
 
 from __future__ import annotations
@@ -24,11 +33,11 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .algebra import LieAlgebraSpec
 from .errors import CertificationError, SchemaError
+from .kernels import compile_kernels
 from .polynomial import SpectralPolynomial, determinant
 
 # ---------------------------------------------------------------------------
@@ -178,130 +187,75 @@ class _ScaledPoly:
     plain integers: a depth-k numerator is over den * 2**(k*deg_total) for
     values and bounds, and over den * int_lcm * 2**(k*int_exp) for
     integrals, with int_exp = deg_total + nvars.
+
+    The six integer evaluators are attributes holding functions generated
+    and compiled for P's integer term table by ``kernels.compile_kernels``, which
+    caches them under that table (with nvars and int_lcm).  Each is
+    straight-line integer code, exact because it is the same sum of
+    integer products as the formula below, taken in another order.  Boxes
+    are integer corners (lo_num, hi_num) at depth k, with center
+    lo_num + hi_num at depth k+1:
+
+    - ``bounds(lo_num, hi_num, k)``: (mn, mx, k*deg_total) with mn <= P <= mx
+      on the box, over den * 2**(k*deg_total); monomial-wise, valid because
+      the unit cube lives in the positive orthant.
+    - ``value_num(num, k)``: P at the dyadic point num / 2**k, over
+      den * 2**(k*deg_total).
+    - ``centered_abs_upper(lo_num, hi_num, k)``: the mean-value bound
+      |P(c)| + sum_i sup|dP/dt_i| * halfwidth_i, over den * 2**((k+1)*deg_total);
+      second-order tight near interior extrema, where ``bounds`` closes only
+      linearly.
+    - ``remainder_num(lo_num, hi_num, k)``: rho >= max |P - L| on the box for
+      the linear Taylor model L at the center, over den * 2**((k+1)*deg_total):
+      the sum over |alpha| >= 2 of |d^alpha P(c) / alpha!| * w^alpha, with
+      integer half-widths w = hi_num - lo_num.
+    - ``linear_model(lo_num, hi_num, k)``: integers (q0, q) with
+      L = (q0 + q.v) / (den * 2**((k+1)*deg_total)) in v = 2**(k+1) (t - c),
+      integer on the box [-w, w].
+    - ``integral_num(lo_num, hi_num, k)``: the exact integral of P over the
+      box in unit-cube coordinates, over den * int_lcm * 2**(k*int_exp).
     """
 
     __slots__ = (
-        "monos",
         "den",
         "box_volume",
         "box_volume_f",
         "nvars",
         "deg_total",
-        "int_monos",
         "int_lcm",
         "int_exp",
-        "grad_monos",
-        "remainder_monos",
-        "remainder_top",
+        "bounds",
+        "value_num",
+        "centered_abs_upper",
+        "remainder_num",
+        "linear_model",
+        "integral_num",
     )
 
     def __init__(self, p: SpectralPolynomial, lo: Sequence[Fraction], hi: Sequence[Fraction]):
         q = p.substitute_affine(lo, [h - l for l, h in zip(lo, hi)])
-        self.monos, self.den = q.integer_scaled()
+        monos, self.den = q.integer_scaled()
         self.nvars = p.nvars
         vol = Fraction(1)
         for l, h in zip(lo, hi):
             vol *= h - l
         self.box_volume = vol
         self.box_volume_f = float(vol)
-        self.deg_total = max((sum(m) for m, _ in self.monos), default=0)
+        self.deg_total = max((sum(m) for m, _ in monos), default=0)
         # integral bookkeeping: common denominator den * lcm * 2**(k*int_exp)
         lcm = 1
-        for m, _ in self.monos:
-            prod_e = math.prod(e + 1 for e in m)
-            lcm = lcm * prod_e // math.gcd(lcm, prod_e)
+        for m, _ in monos:
+            lcm = math.lcm(lcm, math.prod(e + 1 for e in m))
         self.int_lcm = lcm
         self.int_exp = self.deg_total + self.nvars
-        self.int_monos = [
-            (m, c, lcm // math.prod(e + 1 for e in m), sum(m)) for m, c in self.monos
-        ]
-        # Taylor coefficient polynomials d^alpha P / alpha!, same integer
-        # denominator: the unit alphas give the gradient (centered bounds and
-        # the linear model), |alpha| >= 2 the linear model's remainder
-        taylor: dict[tuple[int, ...], list] = {}
-        for m, c in self.monos:
-            for alpha in product(*(range(e + 1) for e in m)):
-                coef = c * math.prod(math.comb(e, a) for e, a in zip(m, alpha))
-                taylor.setdefault(alpha, []).append(
-                    (tuple(e - a for e, a in zip(m, alpha)), coef)
-                )
-        self.grad_monos = [
-            taylor.get(tuple(int(i == axis) for i in range(self.nvars)), [])
-            for axis in range(self.nvars)
-        ]
-        # the remainder's coefficients of order deg_total are constants, folded
-        # here once; lower orders are polynomials evaluated per box
-        self.remainder_monos = [
-            (alpha, deriv, sum(alpha))
-            for alpha, deriv in taylor.items()
-            if 2 <= sum(alpha) < self.deg_total
-        ]
-        self.remainder_top = [
-            (alpha, abs(sum(c for _, c in deriv)))
-            for alpha, deriv in taylor.items()
-            if sum(alpha) == self.deg_total >= 2
-        ]
-
-    def bounds(self, lo_num: tuple[int, ...], hi_num: tuple[int, ...], k: int):
-        """Integer numerators of min/max bounds of P on the dyadic box.
-
-        Returns (mn_num, mx_num, scale_exp); the bounds are num / (den * 2**scale_exp).
-        """
-        mn, mx = _interval_num(self.monos, self.deg_total, lo_num, hi_num, k)
-        return mn, mx, k * self.deg_total
-
-    def integral_num(self, lo_num: tuple[int, ...], hi_num: tuple[int, ...], k: int) -> int:
-        """Exact integral of P over the dyadic box, in unit-cube coordinates, as a
-        numerator over den * int_lcm * 2**(k*int_exp)."""
-        num = 0
-        E = self.int_exp
-        for mono, c, lcm_factor, deg in self.int_monos:
-            term = c * lcm_factor * (1 << (k * (E - deg - self.nvars)))
-            for l, h, e in zip(lo_num, hi_num, mono):
-                term *= h ** (e + 1) - l ** (e + 1)
-            num += term
-        return num
-
-    def value_num(self, num: Sequence[int], k: int) -> int:
-        """P at the dyadic point num / 2**k, as a numerator over den * 2**(k*deg_total)."""
-        return _value_num(self.monos, self.deg_total, num, k)
-
-    def remainder_num(self, lo_num, hi_num, k) -> int:
-        """rho >= max |P - L| on the dyadic box, for the linear Taylor model L
-        of P at the box center, as a numerator over den * 2**((k+1)*deg_total).
-
-        rho = sum over |alpha| >= 2 of |d^alpha P(c) / alpha!| * w^alpha, with
-        c the center and w the half-widths; a depth-(k+1) numerator of the
-        coefficient times the integer half-widths hi_num - lo_num lands on the
-        common denominator.  The order-deg_total coefficients are constants.
-        """
-        D = self.deg_total
-        center = [l + h for l, h in zip(lo_num, hi_num)]
-        half = [h - l for l, h in zip(lo_num, hi_num)]
-        rho = 0
-        for alpha, deriv, order in self.remainder_monos:
-            term = abs(_value_num(deriv, D - order, center, k + 1))
-            for w, a in zip(half, alpha):
-                if a:
-                    term *= w**a
-            rho += term
-        for alpha, term in self.remainder_top:
-            for w, a in zip(half, alpha):
-                if a:
-                    term *= w**a
-            rho += term
-        return rho
-
-    def linear_model(self, lo_num, hi_num, k) -> tuple[int, list[int]]:
-        """Integers (q0, q) of the linear Taylor model L of P at the box center.
-
-        In v = 2**(k+1) (t - c), integer on the box [-W, W] with
-        W = hi_num - lo_num, L = (q0 + q.v) / (den * 2**((k+1)*deg_total)).
-        """
-        D = self.deg_total
-        center = [l + h for l, h in zip(lo_num, hi_num)]
-        q0 = _value_num(self.monos, D, center, k + 1)
-        return q0, [_value_num(deriv, D - 1, center, k + 1) for deriv in self.grad_monos]
+        (
+            self.bounds,
+            self.value_num,
+            self.centered_abs_upper,
+            self.remainder_num,
+            self.linear_model,
+            self.integral_num,
+        ) = compile_kernels(self.nvars, tuple(monos), lcm)
 
     def model_bracket_num(
         self, lo_num, hi_num, k, depth: int, rho: int, threshold: Fraction | None = None
@@ -354,35 +308,6 @@ class _ScaledPoly:
         while self.box_volume > step * self.den * self.int_lcm * (1 << (depth * self.int_exp)):
             depth += 1
         return depth
-
-    def centered_abs_upper(self, lo_num, hi_num, k) -> int:
-        """Mean-value bound: |p| <= |p(c)| + sum_i sup|dp/dt_i| * halfwidth_i,
-        as a numerator over den * 2**((k+1)*deg_total).
-
-        Second-order tight near interior extrema, where the plain monomial
-        interval bound closes only linearly.
-        """
-        D = self.deg_total
-        bound = abs(self.value_num([l + h for l, h in zip(lo_num, hi_num)], k + 1))
-        for axis, deriv in enumerate(self.grad_monos):
-            if deriv:
-                # sup|dP/dt_i| over den * 2**(k*(D-1)), times halfwidth over 2**(k+1)
-                mn, mx = _interval_num(deriv, D - 1, lo_num, hi_num, k)
-                bound += max(mx, -mn) * (hi_num[axis] - lo_num[axis]) << (D - 1)
-        return bound
-
-
-def _value_num(monos, degree: int, num: Sequence[int], k: int) -> int:
-    """sum(c * t^m) at the dyadic point num / 2**k, as a numerator over
-    2**(k*degree), where degree is at least every monomial's degree."""
-    total = 0
-    for mono, c in monos:
-        term = c << (k * (degree - sum(mono)))
-        for x, e in zip(num, mono):
-            if e:
-                term *= x**e
-        total += term
-    return total
 
 
 def _truncated_power_integral(q0, q, half, *term_lists) -> tuple:
@@ -498,34 +423,6 @@ def _sublevel_g(s, thr, rho) -> tuple:
     if a <= thr - rho:
         return max(a - rho, 0), a + rho
     return 0, (thr if a <= thr + rho else 0)
-
-
-def _interval_num(monos, degree: int, lo_num, hi_num, k: int) -> tuple[int, int]:
-    """Integer numerators (mn, mx) of bounds of sum(c * t^m) on a dyadic box,
-    over 2**(k*degree), where degree is at least every monomial's degree.
-
-    Valid because the unit cube lives in the positive orthant, so each
-    monomial is monotone in every coordinate.
-    """
-    mn = 0
-    mx = 0
-    for mono, c in monos:
-        scale = 1 << (k * (degree - sum(mono)))
-        lo_v = scale
-        hi_v = scale
-        for x, e in zip(lo_num, mono):
-            if e:
-                lo_v *= x**e
-        for x, e in zip(hi_num, mono):
-            if e:
-                hi_v *= x**e
-        if c > 0:
-            mn += c * lo_v
-            mx += c * hi_v
-        else:
-            mn += c * hi_v
-            mx += c * lo_v
-    return mn, mx
 
 
 def _split_box(lo, hi, k):

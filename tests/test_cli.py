@@ -323,6 +323,14 @@ class TestMainEntry:
         assert code == EXIT_INPUT
         assert "algebra.d" in capsys.readouterr().out
 
+    def test_main_oversized_integer_literal_exit_3(self, tmp_path, capsys):
+        # past 4,300 digits json.loads raises a plain ValueError, not a JSONDecodeError
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(desk_config_doc())[:-1] + ', "label": ' + "1" * 5000 + "}")
+        code = main(["validate", "--config", str(cfg)])
+        assert code == EXIT_INPUT
+        assert json.loads(capsys.readouterr().out)["error"]["field"] == "config"
+
     def test_main_output_report_path_is_a_schema_error(self, tmp_path, capsys):
         # only --out sets a report path; the config key is rejected, not ignored
         cfg = tmp_path / "c.json"
@@ -458,6 +466,7 @@ MISSING = "missing/out.json"
         ("validate", {"verification": []}, [], "verification"),
         ("validate", {"lattice": None}, [], "lattice"),
         ("validate", {"spectrum": {"sub_boxes": 5}}, [], "spectrum.sub_boxes"),
+        ("validate", {"spectrum": {"a": ["1e10000000"]}}, [], "spectrum.a[0]"),
         ("synthesize", {"output": {"field_path": 5}}, [], "output.field_path"),
         ("verify", {"output": {"csv_path": 1}}, [], "output.csv_path"),
         ("analyze", {}, ["--out", MISSING], "out"),
@@ -474,6 +483,7 @@ MISSING = "missing/out.json"
         "verification-list",
         "lattice-null",
         "sub-boxes-int",
+        "exponent-string",
         "field-path-int",
         "csv-path-int",
         "report-out-missing-dir",

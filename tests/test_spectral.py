@@ -371,6 +371,118 @@ class TestLinearModelRemainder:
         assert scaled.remainder_num((1, 2), (3, 3), 2) == 0
 
 
+def kernel_reference(p, lo, hi, k, lo_num, hi_num, point) -> tuple:
+    """The six ``_ScaledPoly`` evaluators from their definitions, in exact
+    Fractions on P = den * p(lo + (hi - lo) t), and the scaled polynomial."""
+    scaled = _ScaledPoly(p, lo, hi)
+    n, D = p.nvars, scaled.deg_total
+    q = p.substitute_affine(lo, [h - l for l, h in zip(lo, hi)])
+    P = {m: c * scaled.den for m, c in q.terms.items()}
+    assert all(c.denominator == 1 for c in P.values())
+    step = Fraction(1, 1 << k)
+    t_lo = [x * step for x in lo_num]
+    t_hi = [x * step for x in hi_num]
+    center = [(a + b) / 2 for a, b in zip(t_lo, t_hi)]
+    half = [(b - a) / 2 for a, b in zip(t_lo, t_hi)]
+
+    def power(x, m):
+        return math.prod(xi**e for xi, e in zip(x, m))
+
+    def value(terms, x):
+        return sum(c * power(x, m) for m, c in terms.items())
+
+    def interval(terms):
+        corners = [(c * power(t_lo, m), c * power(t_hi, m)) for m, c in terms.items()]
+        return sum(min(v) for v in corners), sum(max(v) for v in corners)
+
+    # P(center + v): the coefficient of v^alpha is d^alpha P(center) / alpha!
+    taylor = SpectralPolynomial(n, P).substitute_affine(center, [1] * n).terms
+    units = [tuple(int(i == axis) for i in range(n)) for axis in range(n)]
+    grads = [
+        {tuple(e - u for e, u in zip(m, unit)): c * m[axis] for m, c in P.items() if m[axis]}
+        for axis, unit in enumerate(units)
+    ]
+    model = Fraction(2) ** ((k + 1) * D)
+    mn, mx = interval(P)
+    slope = sum(max(-a, b) * w for (a, b), w in zip(map(interval, grads), half))
+    integral = sum(
+        c * math.prod((h ** (e + 1) - l ** (e + 1)) / (e + 1) for l, h, e in zip(t_lo, t_hi, m))
+        for m, c in P.items()
+    )
+    expected = {
+        "bounds": (mn * (1 << (k * D)), mx * (1 << (k * D)), k * D),
+        "value_num": value(P, [x * step for x in point]) * (1 << (k * D)),
+        "centered_abs_upper": (abs(value(P, center)) + slope) * model,
+        "remainder_num": model
+        * sum(abs(c) * power(half, alpha) for alpha, c in taylor.items() if sum(alpha) >= 2),
+        "linear_model": (
+            value(P, center) * model,
+            [taylor.get(unit, 0) * model / (1 << (k + 1)) for unit in units],
+        ),
+        "integral_num": integral * scaled.int_lcm * (1 << (k * scaled.int_exp)),
+    }
+    return scaled, expected
+
+
+def assert_kernels_match(p, lo, hi, k, lo_num, hi_num, point):
+    scaled, expected = kernel_reference(p, lo, hi, k, lo_num, hi_num, point)
+    got = {
+        name: scaled.value_num(point, k)
+        if name == "value_num"
+        else getattr(scaled, name)(lo_num, hi_num, k)
+        for name in expected
+    }
+    for name, want in expected.items():
+        flat = got[name] if isinstance(got[name], tuple) else (got[name],)
+        flat = [x for v in flat for x in (v if isinstance(v, list) else [v])]
+        assert all(type(x) is int for x in flat), name
+        assert got[name] == want, name
+
+
+@st.composite
+def kernel_cases(draw):
+    """An integer polynomial in 1-3 variables of degree <= 4, a rational box,
+    a dyadic sub-box at a depth k <= 6 and a dyadic point at that depth."""
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 4))
+    monos = [m for m in itertools.product(range(degree + 1), repeat=nvars) if sum(m) <= degree]
+    coefs = st.integers(-30, 30).filter(bool)
+    terms = draw(st.dictionaries(st.sampled_from(monos), coefs, max_size=6))
+    lo = [Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 6))) for _ in range(nvars)]
+    hi = [x + Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 6))) for x in lo]
+    k = draw(st.integers(0, 6))
+    lo_num = tuple(draw(st.integers(0, (1 << k) - 1)) for _ in range(nvars))
+    hi_num = tuple(draw(st.integers(x + 1, 1 << k)) for x in lo_num)
+    point = tuple(draw(st.integers(0, 1 << k)) for _ in range(nvars))
+    return poly(nvars, terms), lo, hi, k, lo_num, hi_num, point
+
+
+class TestKernelParity:
+    """The compiled evaluators of ``_ScaledPoly`` against exact Fraction
+    arithmetic from their definitions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=kernel_cases())
+    def test_kernels_match_the_exact_reference(self, case):
+        assert_kernels_match(*case)
+
+    def test_coefficients_past_the_int_to_str_digit_limit(self):
+        # box bounds near 10**1200 make the scaled coefficients of a quartic
+        # about 4,800 digits long: no coefficient may pass through repr
+        p = poly(2, {(4, 0): 1, (1, 3): -3, (2, 1): 5, (0, 1): 2, (0, 0): -7})
+        lo = [Fraction(10**1200), Fraction(3 * 10**1200, 7)]
+        hi = [lo[0] + Fraction(1, 3), lo[1] + 5]
+        q = p.substitute_affine(lo, [h - l for l, h in zip(lo, hi)])
+        assert max(abs(c.numerator) for c in q.terms.values()).bit_length() > 4300 * math.log2(10)
+        assert_kernels_match(p, lo, hi, 3, (2, 5), (3, 8), (7, 1))
+
+    def test_one_compile_per_term_table(self):
+        # sup, plain measure and sublevel measure share the full-box polynomial
+        p = poly(2, {(2, 0): 11, (0, 2): -13, (1, 1): 17})
+        box = [Fraction(0)] * 2, [Fraction(19)] * 2
+        assert _ScaledPoly(p, *box).bounds is _ScaledPoly(p, *box).bounds
+
+
 def truncated_power_sum(terms, s):
     """sum c (s - a)_+^m at one value s, with (x)_+^0 = 1 for x > 0."""
     return sum(c * (s - a) ** m for c, a, m in terms if s > a)
