@@ -58,7 +58,8 @@ print(f"   norm^2 {window2.norm_sq:.9f} vs volume {float(lat2.volume):.9f}")
 # a full generator field over a lambda grid, with its predicted spectral norm
 box = SpectrumBox(a=(Fraction(2), Fraction(3)))
 mu = spectral_measure(density_polynomial(six), box, tol=4e-8)
-field = build_generator_field(six, sp, box, grid_shape=[16, 24], role="frame", mu_box=mu)
+field = build_generator_field(six, sp, box, grid_shape=[16, 24], role="frame",
+                               predicted_norm_sq=mu.value / float(sp.covolume))
 print(f"\ngenerator field on a 16x24 grid: {len(field.nodes)} fibers, "
       f"{len(field.skipped)} skipped on the null set")
 print(f"   predicted generator norm^2: {field.predicted_norm_sq:.10f} "

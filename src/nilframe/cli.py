@@ -3,7 +3,10 @@
 Reports are deterministic JSON (sorted keys, exact rationals as "p/q"
 strings, binary64 values as shortest round-trip decimals).  Exit codes:
 0 all requested checks pass, 2 a mathematical condition failed, 3 input
-error, 4 a certification budget ran out before reaching tolerance.
+error, 4 a certification budget ran out before reaching tolerance.  Every
+failure gets its code and JSON error block from ``error_exit``: a usage
+error is an input error on ``argv``, and a stage that fails leaves the
+report sections already computed beside the block.
 """
 
 from __future__ import annotations
@@ -106,7 +109,9 @@ def _stage_design(
             precision_digits=config.lattice.precision_digits,
             sup_result=sup,
         )
-    density = check_density_condition(config.algebra, params, box, sup_result=sup)
+    density = check_density_condition(
+        config.algebra, params, box, sup_result=sup, tol=config.spectrum.sup_tol
+    )
     onb = check_onb_condition(params, mu)
     wavelet = check_wavelet_discretization(
         config.algebra,
@@ -130,7 +135,6 @@ def _stage_synthesize(
     config: ConfigDocument,
     report: dict,
     params: QuasiLatticeParams,
-    mu: MeasureResult,
     out_path: str | None,
 ) -> FrameGeneratorField:
     field = build_generator_field(
@@ -139,7 +143,7 @@ def _stage_synthesize(
         config.spectrum.box,
         grid_shape=config.verification.lam_grid,
         role="frame",
-        mu_box=mu,
+        predicted_norm_sq=report["design"]["predicted_generator_norm_sq"],
         eps_degenerate=config.spectrum.eps_degenerate,
         piece_limit=config.verification.piece_limit,
     )
@@ -246,27 +250,7 @@ _EX2_DET = [[[0, 2], "-1"], [[2, 0], "1"]]
 _EX3_DET = [[[0, 0, 3], "-1"], [[0, 3, 0], "-1"], [[1, 1, 1], "3"], [[3, 0, 0], "-1"]]
 
 
-def _run_example(label: str, checks_of, design_decides: bool = True) -> tuple[dict, bool]:
-    """Run validate, analyze and design on the bundled fixture ``label`` and
-    apply its checks ``checks_of(report, conditions, sup, mu)``."""
-    config = parse_config(fixture_path(f"{label}.json"))
-    report: dict = {}
-    ok = _stage_validate(config, report)
-    analyzed, sup, mu = _stage_analyze(config, report)
-    designed, _, _ = _stage_design(config, report, sup, mu)
-    ok = ok and analyzed and (designed or not design_decides)
-    conditions = {c["condition"]: c for c in report["design"]["conditions"]}
-    checks = checks_of(report, conditions, sup, mu)
-    out = {
-        "label": label,
-        "checks": checks,
-        "design": report["design"],
-        "matches": all(checks.values()) and ok,
-    }
-    return out, out["matches"]
-
-
-def _example_1_checks(report, conditions, sup, mu) -> dict:
+def _example_1_checks(report, conditions) -> dict:
     density = conditions["density"]
     onb = conditions["orthonormal_basis"]
     return {
@@ -278,12 +262,14 @@ def _example_1_checks(report, conditions, sup, mu) -> dict:
     }
 
 
-def _example_2_checks(report, conditions, sup, mu) -> dict:
+def _example_2_checks(report, conditions) -> dict:
+    spectral = report["spectral"]
+    mu_lower, mu_upper = (Fraction(spectral["measure"][end]) for end in ("lower", "upper"))
     return {
-        "det_b": report["spectral"]["det_b"] == _EX2_DET,
-        "sup_is_nine": abs(sup.value - 9.0) <= 1e-9,
-        "measure_46_3": mu.lower <= Fraction(46, 3) <= mu.upper
-        and float(mu.upper - mu.lower) <= 1e-6,
+        "det_b": spectral["det_b"] == _EX2_DET,
+        "sup_is_nine": abs(spectral["sup_density"]["value"] - 9.0) <= 1e-9,
+        "measure_46_3": mu_lower <= Fraction(46, 3) <= mu_upper
+        and float(mu_upper - mu_lower) <= 1e-6,
         "designed_lattice": report["design"]["params"]
         == {"a": ["2", "3"], "q": ["1", "1"], "b": ["3", "3"]},
         "predicted_norm_sq": abs(
@@ -295,7 +281,7 @@ def _example_2_checks(report, conditions, sup, mu) -> dict:
     }
 
 
-def _example_3_checks(report, conditions, sup, mu) -> dict:
+def _example_3_checks(report, conditions) -> dict:
     wavelet = conditions["wavelet_discretization"]
     return {
         "det_b": report["spectral"]["det_b"] == _EX3_DET,
@@ -306,22 +292,36 @@ def _example_3_checks(report, conditions, sup, mu) -> dict:
     }
 
 
+# example number: (bundled fixture, its checks, whether the design verdict counts)
+EXAMPLES = {
+    1: ("heisenberg", _example_1_checks, True),
+    2: ("example2", _example_2_checks, True),
+    # the uniform density condition fails on the full box here (sup = 2 > 1);
+    # the wavelet construction lives on the sublevel region instead, so the
+    # design stage verdict is informational for this fixture
+    3: ("example3", _example_3_checks, False),
+}
+
+
 def run_examples(which: int | None = None) -> tuple[dict, int]:
-    runners = {
-        1: lambda: _run_example("heisenberg", _example_1_checks),
-        2: lambda: _run_example("example2", _example_2_checks),
-        # the uniform density condition fails on the full box here (sup = 2 > 1);
-        # the wavelet construction lives on the sublevel region instead, so the
-        # design stage verdict is informational for this fixture
-        3: lambda: _run_example("example3", _example_3_checks, design_decides=False),
-    }
-    selected = [which] if which else [1, 2, 3]
+    """Run the design chain on each selected bundled fixture and apply its
+    checks; an example matches when every check, validation, the Pfaffian
+    identity and (where it counts) the design verdict pass."""
     out = {}
-    all_ok = True
-    for idx in selected:
-        result, ok = runners[idx]()
-        out[str(idx)] = result
-        all_ok = all_ok and ok
+    for idx in [which] if which else sorted(EXAMPLES):
+        label, checks_of, design_counts = EXAMPLES[idx]
+        report: dict = {}
+        designed = _run_stages("design", parse_config(fixture_path(f"{label}.json")), report, None)
+        conditions = {c["condition"]: c for c in report["design"]["conditions"]}
+        checks = checks_of(report, conditions)
+        # the chain reaches design only once validation and the Pfaffian identity pass
+        out[str(idx)] = {
+            "label": label,
+            "checks": checks,
+            "design": report["design"],
+            "matches": all(checks.values()) and (designed or not design_counts),
+        }
+    all_ok = all(ex["matches"] for ex in out.values())
     return {"examples": out}, EXIT_PASS if all_ok else EXIT_CONDITION
 
 
@@ -345,9 +345,7 @@ def _run_stages(command: str, config: ConfigDocument, report: dict, out_path: st
     if not density_ok:
         report["synthesis"] = {"refused": "density condition fails; no Parseval window exists"}
         return False
-    field = _stage_synthesize(
-        config, report, params, mu, out_path if command == "synthesize" else None
-    )
+    field = _stage_synthesize(config, report, params, out_path if command == "synthesize" else None)
     return command == "synthesize" or _stage_verify(config, report, field)
 
 
@@ -364,37 +362,34 @@ def run_command(
     stages stay in the report.
     """
     t0 = time.monotonic()
+    report: dict = {"version": __version__, "command": command}
     if command == "examples":
-        report, code = run_examples(example)
-        report["command"] = "examples"
-        report["version"] = __version__
-        if timing:
-            report["timing"] = {"seconds": time.monotonic() - t0}
-        return report, code
-
-    if config is None:
-        raise SchemaError("config", f"command {command!r} requires --config")
-    report: dict = {
-        "version": __version__,
-        "command": command,
-        "config": config.raw,
-    }
-    try:
-        code = EXIT_PASS if _run_stages(command, config, report, out_path) else EXIT_CONDITION
-    except CertificationError as exc:
-        report["error"] = {"type": "certification", "message": str(exc)}
-        code = EXIT_CERTIFICATION
-    except (DensityViolationError, PieceOverflowError) as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = EXIT_CONDITION
-    except SchemaError as exc:
-        report["error"] = {"type": "schema", "field": exc.field, "message": str(exc)}
-        code = EXIT_INPUT
-
-    report["status"] = "pass" if code == EXIT_PASS else "fail"
+        examples, code = run_examples(example)
+        report.update(examples)
+    else:
+        if config is None:
+            raise SchemaError("config", f"command {command!r} requires --config")
+        report["config"] = config.raw
+        try:
+            code = EXIT_PASS if _run_stages(command, config, report, out_path) else EXIT_CONDITION
+        except NilframeError as exc:
+            report["error"], code = error_exit(exc)
+        report["status"] = "pass" if code == EXIT_PASS else "fail"
     if timing or (config is not None and config.output.timing):
         report["timing"] = {"seconds": time.monotonic() - t0}
     return report, code
+
+
+def error_exit(exc: NilframeError) -> tuple[dict, int]:
+    """The error block and exit code of a failure: a certification budget
+    that ran out is 4, a density violation or piece overflow (a condition of
+    the construction) is 2, and every other error is an input error, 3."""
+    if isinstance(exc, SchemaError):
+        return {"type": "schema", "field": exc.field, "message": str(exc)}, EXIT_INPUT
+    if isinstance(exc, CertificationError):
+        return {"type": "certification", "message": str(exc)}, EXIT_CERTIFICATION
+    code = EXIT_CONDITION if isinstance(exc, (DensityViolationError, PieceOverflowError)) else EXIT_INPUT
+    return {"type": type(exc).__name__, "message": str(exc)}, code
 
 
 def canonical_json(doc: dict) -> str:
@@ -414,8 +409,15 @@ def write_output(path: str, text: str, field: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors on ``argv``."""
+
+    def error(self, message: str):
+        raise SchemaError("argv", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nilframe",
         description="Quasi-lattice Parseval frame design and verification pipeline",
     )
@@ -440,40 +442,27 @@ def _int_list(text: str, field: str) -> list[int]:
 def _apply_overrides(config: ConfigDocument, args) -> ConfigDocument:
     raw = dict(config.raw)
     if args.tol is not None:
-        spectrum = dict(raw.get("spectrum", {}))
-        spectrum["sup_tol"] = args.tol
-        spectrum["measure_tol"] = args.tol
-        raw["spectrum"] = spectrum
+        raw["spectrum"] = {**raw["spectrum"], "sup_tol": args.tol, "measure_tol": args.tol}
+    verification = dict(raw.get("verification", {}))
     if args.grid:
-        verification = dict(raw.get("verification", {}))
         verification["lam_grid"] = _int_list(args.grid, "grid")
-        raw["verification"] = verification
     if args.trunc:
         parts = _int_list(args.trunc, "trunc")
         if len(parts) != 3:
             raise SchemaError("trunc", "expected three integers m,k,n")
-        verification = dict(raw.get("verification", {}))
-        v = config.algebra.center_dim
-        d = config.algebra.d
-        verification["m_half"] = [parts[0]] * v
-        verification["k_half"] = [parts[1]] * d
-        verification["n_half"] = [parts[2]] * d
+        v, d = config.algebra.center_dim, config.algebra.d
+        verification.update(m_half=[parts[0]] * v, k_half=[parts[1]] * d, n_half=[parts[2]] * d)
+    if args.grid or args.trunc:
         raw["verification"] = verification
-    if args.tol is not None or args.grid or args.trunc:
-        return parse_config(raw)
-    return config
+    return parse_config(raw) if raw != config.raw else config
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = None
-        if args.command != "examples":
-            if not args.config:
-                parser.error(f"command {args.command!r} requires --config")
-            config = parse_config(args.config)
-            config = _apply_overrides(config, args)
+        if args.config and args.command != "examples":
+            config = _apply_overrides(parse_config(args.config), args)
         report, code = run_command(
             args.command,
             config,
@@ -484,12 +473,10 @@ def main(argv: list[str] | None = None) -> int:
         text = canonical_json(report)
         if args.out and args.command != "synthesize":
             write_output(args.out, text, "out")
-    except SchemaError as exc:
-        print(canonical_json({"error": {"type": "schema", "field": exc.field, "message": str(exc)}}))
-        return EXIT_INPUT
     except NilframeError as exc:
-        print(canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return EXIT_INPUT
+        error, code = error_exit(exc)
+        print(canonical_json({"error": error}))
+        return code
     if args.out and args.command != "synthesize":
         print(f"report written to {args.out}", file=sys.stderr)
     else:

@@ -17,7 +17,7 @@ from .algebra import LieAlgebraSpec, load_spec
 from .errors import SchemaError
 from .lattice import QuasiLatticeParams
 from .rationals import parse_rational, parse_rational_vector
-from .spectral import SpectrumBox
+from .spectral import SpectrumBox, certified_tol
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,14 @@ def _get_float(obj: Mapping, key: str, default: float, path: str) -> float:
     return float(v)
 
 
+def _get_tol(obj: Mapping, key: str, default: float, path: str) -> float:
+    """A certified tolerance: positive also once rounded to ``certified_tol``."""
+    v = _get_float(obj, key, default, path)
+    if not certified_tol(v):
+        raise SchemaError(f"{path}.{key}", f"{v!r} rounds to 0 at denominator 10**18")
+    return v
+
+
 def _get_path(obj: Mapping, key: str, path: str) -> str | None:
     v = obj.get(key)
     if v is not None and not isinstance(v, str):
@@ -160,9 +168,9 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
     box = SpectrumBox(a=a, sub_boxes=tuple(sub_boxes))
     spectrum = SpectrumConfig(
         box=box,
-        sup_tol=_get_float(spectrum_raw, "sup_tol", 1e-9, "spectrum"),
-        measure_tol=_get_float(spectrum_raw, "measure_tol", 1e-9, "spectrum"),
-        sublevel_tol=_get_float(spectrum_raw, "sublevel_tol", 5e-2, "spectrum"),
+        sup_tol=_get_tol(spectrum_raw, "sup_tol", 1e-9, "spectrum"),
+        measure_tol=_get_tol(spectrum_raw, "measure_tol", 1e-9, "spectrum"),
+        sublevel_tol=_get_tol(spectrum_raw, "sublevel_tol", 5e-2, "spectrum"),
         eps_degenerate=_get_float(spectrum_raw, "eps_degenerate", 1e-12, "spectrum"),
     )
 

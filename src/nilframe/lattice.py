@@ -176,8 +176,9 @@ def check_density_condition(
     bound = params.prod_bq
     passed = sup_result.upper <= bound
     if not passed and sup_result.lower <= bound:
-        # bracket straddles the bound: tighten once before giving a verdict
-        sup_result = sup_density(det_b, box, tol=tol * 1e-3)
+        # bracket straddles the bound: tighten once before giving a verdict,
+        # but not below 1e-18, the smallest positive ``certified_tol``
+        sup_result = sup_density(det_b, box, tol=max(tol * 1e-3, 1e-18))
         passed = sup_result.upper <= bound
     margin = float(sup_result.upper / bound)
     return ConditionReport(

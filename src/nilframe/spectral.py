@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -148,6 +149,12 @@ class SpectrumBox:
                     raise SchemaError(
                         "spectrum.sub_boxes", f"sub-box axis {i} not inside [0, a_{i}]"
                     )
+        # each region is integrated on its own, so interiors must not meet;
+        # boxes that share a face are fine
+        for j, (lo, hi) in enumerate(self.sub_boxes):
+            for i, (lo2, hi2) in enumerate(self.sub_boxes[:j]):
+                if all(max(lo[k], lo2[k]) < min(hi[k], hi2[k]) for k in range(len(self.a))):
+                    raise SchemaError("spectrum.sub_boxes", f"sub-boxes {i} and {j} overlap")
 
     @property
     def dimension(self) -> int:
@@ -219,7 +226,7 @@ class _ScaledPoly:
     __slots__ = (
         "den",
         "box_volume",
-        "box_volume_f",
+        "abs_bound",
         "nvars",
         "deg_total",
         "int_lcm",
@@ -240,7 +247,7 @@ class _ScaledPoly:
         for l, h in zip(lo, hi):
             vol *= h - l
         self.box_volume = vol
-        self.box_volume_f = float(vol)
+        self.abs_bound = Fraction(sum(abs(c) for _, c in monos), self.den)  # >= |p| on the box
         self.deg_total = max((sum(m) for m, _ in monos), default=0)
         # integral bookkeeping: common denominator den * lcm * 2**(k*int_exp)
         lcm = 1
@@ -308,6 +315,21 @@ class _ScaledPoly:
         while self.box_volume > step * self.den * self.int_lcm * (1 << (depth * self.int_exp)):
             depth += 1
         return depth
+
+
+def _scaled_regions(p: SpectralPolynomial, box: SpectrumBox) -> list[_ScaledPoly]:
+    """p scaled to each region of the box.  Every float that the sup and the
+    measure report is at most a region's volume, its ``abs_bound`` or their
+    product, so a region where one of them is past the largest float is an
+    input error."""
+    scaled_list = [_ScaledPoly(p, lo, hi) for lo, hi in box.region()]
+    for scaled in scaled_list:
+        vol, bound = scaled.box_volume, scaled.abs_bound
+        if max(vol, bound, vol * bound) >= sys.float_info.max:
+            raise SchemaError(
+                "spectrum.a", "box volume, density bound or their product is past the float range"
+            )
+    return scaled_list
 
 
 def _truncated_power_integral(q0, q, half, *term_lists) -> tuple:
@@ -471,6 +493,12 @@ class SupResult:
         }
 
 
+def certified_tol(tol: float) -> Fraction:
+    """``tol`` as the rational that certified bracket widths are compared
+    with: the nearest one with denominator at most 10**18, so 0 below 5e-19."""
+    return Fraction(tol).limit_denominator(10**18)
+
+
 def sup_density(
     det_b: SpectralPolynomial,
     box: SpectrumBox,
@@ -484,16 +512,16 @@ def sup_density(
     sample point.  Without convergence a CertificationError carries the best
     bracket found.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol_frac = certified_tol(tol)
+    if tol_frac <= 0:
+        raise ValueError(f"tol must be positive at denominator 10**18, got {tol!r}")
     if det_b.nvars != box.dimension:
         raise ValueError("dimension mismatch between polynomial and box")
-    tol_frac = Fraction(tol).limit_denominator(10**18)
 
     tn, td = tol_frac.numerator, tol_frac.denominator
     nv = det_b.nvars
     regions = box.region()
-    scaled_list = [_ScaledPoly(det_b, lo, hi) for lo, hi in regions]
+    scaled_list = _scaled_regions(det_b, box)
 
     # best sample |p| = best_num / best_den; bounds are (num, den) pairs too,
     # compared cross-multiplied, so Fractions are built only for a new argmax
@@ -660,15 +688,16 @@ def spectral_measure(
     ``strict`` controls whether that raises CertificationError or returns the
     wide bracket.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol_frac = certified_tol(tol)
+    if tol_frac <= 0:
+        raise ValueError(f"tol must be positive at denominator 10**18, got {tol!r}")
     if det_b.nvars != region.dimension:
         raise ValueError("dimension mismatch between polynomial and region")
-    tol_frac = Fraction(tol).limit_denominator(10**18)
     nv = det_b.nvars
 
     regions = region.region()
-    scaled_list = [_ScaledPoly(det_b, lo, hi) for lo, hi in regions]
+    scaled_list = _scaled_regions(det_b, region)
+    volume_f = [float(scaled.box_volume) for scaled in scaled_list]
     thr_den = 1 if threshold is None else threshold.denominator
     # second-order brackets are rounded outward onto the grid of depth k+1, or
     # deeper where its step exceeds 2**-30 tol: the rounding of every open box
@@ -737,14 +766,14 @@ def spectral_measure(
             # straddling: bracket width is at most 2 vol min(mx, -mn), and at
             # most 2 vol rho for the linear model's remainder rho
             cells = math.prod(h - l for l, h in zip(lo_num, hi_num))
-            vol_f = scaled.box_volume_f * (cells / float(1 << (k * nv)))
+            vol_f = volume_f[ridx] * (cells / float(1 << (k * nv)))
             w = vol_f * 2.0 * (min(mx, -mn) / (float(scaled.den) * float(1 << se)))
             w = min(w, vol_f * 2.0 * (rho / (scaled.den << (se + scaled.deg_total))))
         else:
             bracket = box_bracket(ridx, lo_num, hi_num, k, mn, mx, se, rho)
             depth, lower, upper = bracket
             unit = scaled.den * scaled.int_lcm * thr_den << (depth * scaled.int_exp)
-            w = (upper - lower) / unit * scaled.box_volume_f
+            w = (upper - lower) / unit * volume_f[ridx]
         heapq.heappush(heap, (-w, counter, ridx, lo_num, hi_num, k, mn, mx, se, rho, bracket))
         total_width += w
 

@@ -52,7 +52,7 @@ from .intlattice import (
 )
 from .lattice import FiberGaborLattice, QuasiLatticeParams, fiber_lattice
 from .rationals import format_rational
-from .spectral import MeasureResult, SpectrumBox
+from .spectral import SpectrumBox
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ def build_generator_field(
     box: SpectrumBox,
     grid_shape: Sequence[int],
     role: str = "frame",
-    mu_box: MeasureResult | None = None,
+    predicted_norm_sq: float | None = None,
     eps_degenerate: float = 1e-12,
     piece_limit: int = 4096,
 ) -> FrameGeneratorField:
@@ -297,7 +297,8 @@ def build_generator_field(
     Degenerate nodes (density below eps) are skipped and recorded.  For the
     wavelet role the covolume product must equal one exactly and the grid is
     restricted to the sublevel region; every kept fiber vector then has unit
-    norm by construction (asserted).
+    norm by construction (asserted).  ``predicted_norm_sq`` is carried as
+    given: the design stage's measure over the covolume.
     """
     if role not in ("frame", "wavelet"):
         raise SchemaError("role", f"unknown role {role!r}")
@@ -322,9 +323,6 @@ def build_generator_field(
         if role == "wavelet":
             assert abs(node.fiber_vector_norm_sq - 1.0) <= 1e-9
         nodes.append(node)
-    predicted = None
-    if mu_box is not None:
-        predicted = mu_box.value / float(params.covolume)
     return FrameGeneratorField(
         role=role,
         params=params,
@@ -332,7 +330,7 @@ def build_generator_field(
         grid_shape=tuple(int(c) for c in grid_shape),
         nodes=tuple(nodes),
         skipped=tuple(skipped),
-        predicted_norm_sq=predicted,
+        predicted_norm_sq=predicted_norm_sq,
     )
 
 

@@ -13,16 +13,26 @@ import numpy as np
 import pytest
 
 from nilframe.cli import (
+    EXIT_CERTIFICATION,
     EXIT_CONDITION,
     EXIT_INPUT,
     EXIT_PASS,
     canonical_json,
+    error_exit,
     fixture_path,
     main,
     run_command,
 )
 from nilframe.config import parse_config
-from nilframe.errors import SchemaError
+from nilframe.errors import (
+    CertificationError,
+    DegenerateFiberError,
+    DensityViolationError,
+    MisalignedGridError,
+    PieceOverflowError,
+    RankDeficiencyError,
+    SchemaError,
+)
 
 from conftest import EXAMPLE2_DOC, HEISENBERG_DOC
 
@@ -43,6 +53,9 @@ def heisenberg_sub_box(lo, hi):
     doc = json.loads(fixture_path("heisenberg.json").read_text())
     doc["spectrum"]["sub_boxes"] = [{"lo": [lo], "hi": [hi]}]
     return parse_config(doc)
+
+
+HEISENBERG = str(fixture_path("heisenberg.json"))
 
 
 class TestParseConfig:
@@ -94,6 +107,13 @@ class TestParseConfig:
         assert ver.m_half == (32,) * v
         assert ver.k_half == ver.n_half == kn
         assert config.raw == doc
+
+    @pytest.mark.parametrize("key", ["sup_tol", "measure_tol", "sublevel_tol"])
+    def test_tolerance_rounding_to_zero_names_the_field(self, key):
+        # certified widths are compared at denominator 10**18: 1e-300 is 0 there
+        with pytest.raises(SchemaError) as err:
+            parse_config(desk_config_doc(spectrum={"a": ["1"], key: 1e-300}))
+        assert err.value.field == f"spectrum.{key}"
 
 
 class TestRunCommand:
@@ -267,6 +287,46 @@ class TestRunCommand:
                 off[axis] += width
                 assert profile(np.array(off)) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
+    def test_touching_sub_boxes_measure_their_union(self):
+        # [0, 1/2] and [1/2, 1] share a face: the measure of |λ| is 1/2
+        doc = json.loads(fixture_path("heisenberg.json").read_text())
+        doc["spectrum"]["sub_boxes"] = [{"lo": ["0"], "hi": ["1/2"]}, {"lo": ["1/2"], "hi": ["1"]}]
+        report, code = run_command("design", parse_config(doc))
+        assert code == EXIT_PASS
+        measure = report["spectral"]["measure"]
+        assert Fraction(measure["lower"]) <= Fraction(1, 2) <= Fraction(measure["upper"])
+
+    def test_density_straddle_recertifies_at_the_configured_tolerance(self, monkeypatch):
+        # prod(b q) = 1.2599211**3 ~ 2.00000024 lies inside example3's sup
+        # bracket [2, 4194305/2097152] at sup_tol 1e-6, so the density check
+        # certifies once more, at sup_tol * 1e-3
+        import nilframe.lattice as lattice
+
+        tols = []
+        real = lattice.sup_density
+
+        def recording(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "sup_density", recording)
+        doc = json.loads(fixture_path("example3.json").read_text())
+        doc["lattice"] = {"q": ["1"] * 3, "b": ["12599211/10000000"] * 3}
+        report, code = run_command("design", parse_config(doc))
+        assert code == EXIT_PASS
+        assert tols == [pytest.approx(1e-9)]
+        assert report["spectral"]["sup_density"]["upper"] == "4194305/2097152"
+
+    def test_density_straddle_recertifies_no_finer_than_1e_18(self):
+        # at sup_tol 1e-16 the straddle would re-certify at 1e-19, which
+        # rounds to 0; at 1e-18, b**3 - 2 ~ 1.3e-20 still straddles: exit 2
+        doc = json.loads(fixture_path("example3.json").read_text())
+        doc["spectrum"]["sup_tol"] = 1e-16
+        doc["lattice"] = {"q": ["1"] * 3, "b": [f"125992104989487316477/{10**20}"] * 3}
+        report, code = run_command("design", parse_config(doc))
+        assert code == EXIT_CONDITION
+        assert not report["design"]["conditions"][0]["passed"]
+
     def test_examples_all_match(self):
         report, code = run_command("examples", None)
         assert code == EXIT_PASS
@@ -421,6 +481,46 @@ class TestMainEntry:
         doc = json.loads(capsys.readouterr().out)
         assert list(doc["examples"]) == ["1"]
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["analyze"], "config"),
+            (["analyze", "--config", HEISENBERG, "--tol", "abc"], "argv"),
+            (["frobnicate"], "argv"),
+            (["examples", "--example", "7"], "argv"),
+            (["validate", "--config", HEISENBERG, "--bogus"], "argv"),
+        ],
+        ids=["no-config", "tol-abc", "unknown-command", "example-7", "unknown-flag"],
+    )
+    def test_main_usage_error_exit_3(self, capsys, argv, field):
+        code = main(argv)
+        assert code == EXIT_INPUT
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert (error["type"], error["field"]) == ("schema", field)
+
+    def test_main_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: nilframe")
+
+    def test_main_stage_error_keeps_the_report(self, capsys, monkeypatch):
+        # an error type outside the schema, condition and budget classes,
+        # raised by the last stage, still leaves the earlier sections
+        import nilframe.cli as cli
+
+        def misaligned(*args, **kwargs):
+            raise MisalignedGridError("grid step does not divide the translations")
+
+        monkeypatch.setattr(cli, "make_aligned_grid", misaligned)
+        code = main(["verify", "--config", HEISENBERG])
+        assert code == EXIT_INPUT
+        report = json.loads(capsys.readouterr().out)
+        for section in ("validation", "spectral", "design", "synthesis"):
+            assert section in report, section
+        assert report["error"]["type"] == "MisalignedGridError"
+        assert report["status"] == "fail"
+
     def test_main_design_root_beyond_float_range(self, tmp_path, capsys):
         # b = sup**(1/3) rounded up at 200 digits: the scaled radicand is far
         # beyond float range, and the designed b must still pass the density
@@ -451,6 +551,23 @@ class TestMainEntry:
         assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "exc, block_type, code",
+    [
+        (SchemaError("spectrum.a", "missing"), "schema", EXIT_INPUT),
+        (CertificationError("budget"), "certification", EXIT_CERTIFICATION),
+        (DensityViolationError("volume"), "DensityViolationError", EXIT_CONDITION),
+        (PieceOverflowError("pieces"), "PieceOverflowError", EXIT_CONDITION),
+        (MisalignedGridError("grid"), "MisalignedGridError", EXIT_INPUT),
+        (DegenerateFiberError("fiber"), "DegenerateFiberError", EXIT_INPUT),
+        (RankDeficiencyError("rank"), "RankDeficiencyError", EXIT_INPUT),
+    ],
+)
+def test_error_exit_table(exc, block_type, code):
+    block, got = error_exit(exc)
+    assert (block["type"], block["message"], got) == (block_type, str(exc), code)
+
+
 # a path under a directory that does not exist, placed under the test's tmp_path
 MISSING = "missing/out.json"
 
@@ -473,6 +590,15 @@ MISSING = "missing/out.json"
         ("synthesize", {}, ["--out", MISSING], "out"),
         ("synthesize", {"output": {"field_path": MISSING}}, [], "output.field_path"),
         ("verify", {"output": {"csv_path": MISSING}}, [], "output.csv_path"),
+        ("design", {"spectrum": {"sub_boxes": [{"lo": ["0"], "hi": ["1"]}] * 2}}, [],
+         "spectrum.sub_boxes"),
+        ("design", {"spectrum": {"sub_boxes": [{"lo": ["0"], "hi": ["1/2"]},
+                                               {"lo": ["1/4"], "hi": ["1"]}]}}, [],
+         "spectrum.sub_boxes"),
+        ("analyze", {"spectrum": {"measure_tol": 1e-300}}, [], "spectrum.measure_tol"),
+        ("analyze", {}, ["--tol", "4e-19"], "spectrum.sup_tol"),
+        ("analyze", {"spectrum": {"a": ["1" * 3000]}}, [], "spectrum.a"),
+        ("analyze", {"spectrum": {"a": ["1" + "0" * 160]}}, [], "spectrum.a"),
     ],
     ids=[
         "tol-nan",
@@ -490,6 +616,12 @@ MISSING = "missing/out.json"
         "field-out-missing-dir",
         "field-path-missing-dir",
         "csv-path-missing-dir",
+        "sub-boxes-duplicate",
+        "sub-boxes-overlap",
+        "measure-tol-floor",
+        "tol-floor",
+        "a-repunit",
+        "a-1e160",
     ],
 )
 def test_config_and_output_errors_exit_3(tmp_path, command, edit, extra, field):

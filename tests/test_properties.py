@@ -1,17 +1,20 @@
 """Cross-cutting invariants, randomized where that adds coverage."""
 
+import contextlib
 import copy
+import io
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from nilframe.algebra import basis_vector, bracket, load_spec, validate_class
-from nilframe.cli import fixture_path
+from nilframe.cli import fixture_path, main
 from nilframe.config import parse_config
 from nilframe.errors import PieceOverflowError, SchemaError
 from nilframe.lattice import (
@@ -251,3 +254,30 @@ def test_parse_config_accepts_or_raises_schema_error(slot, value):
         parse_config(doc)
     except SchemaError:
         pass
+
+
+# --config is the heisenberg fixture, a missing path, or this file (not JSON)
+_CONFIGS = [str(fixture_path("heisenberg.json")), str(Path(__file__).with_name("missing.json")), __file__]
+_FLAG_VALUES = ["abc", "nan", "inf", "0", "-1", "1e-300", "4,x", "1,2", "0,0,0", "7"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from([["validate"], ["analyze"], ["design"], ["examples", "--example", "1"]]),
+    config=st.sampled_from(_CONFIGS),
+    flags=st.lists(
+        st.tuples(
+            st.sampled_from(["--tol", "--grid", "--trunc", "--example", "--frobnicate"]),
+            st.sampled_from(_FLAG_VALUES),
+        ),
+        max_size=3,
+    ),
+)
+def test_main_exits_with_a_structured_code(command, config, flags):
+    argv = command + ["--config", config] + [arg for flag in flags for arg in flag]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    json.loads(out.getvalue())  # one JSON document, the report or an error block

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilframe.algebra import load_spec
-from nilframe.errors import CertificationError
+from nilframe.errors import CertificationError, SchemaError
 from nilframe.polynomial import SpectralPolynomial, determinant
 from nilframe.spectral import (
     SpectrumBox,
@@ -181,6 +181,36 @@ class TestSupDensity:
 
 
 class TestSpectralMeasure:
+    @pytest.mark.parametrize("certify", [sup_density, spectral_measure])
+    def test_tolerance_rounding_to_zero_is_rejected(self, heisenberg, certify):
+        # 1e-300 rounds to 0 at denominator 10**18; refining to it would never end
+        box = SpectrumBox(a=(Fraction(1),))
+        with pytest.raises(ValueError):
+            certify(density_polynomial(heisenberg), box, tol=1e-300)
+
+    @pytest.mark.parametrize(
+        "sub_boxes",
+        [[(0, 1), (0, 1)], [(0, Fraction(1, 2)), (Fraction(1, 4), 1)]],
+        ids=["duplicate", "overlap"],
+    )
+    def test_overlapping_sub_boxes_rejected(self, sub_boxes):
+        # each region is integrated on its own: an overlap would count twice
+        with pytest.raises(SchemaError) as err:
+            SpectrumBox(
+                a=(Fraction(1),),
+                sub_boxes=tuple(((Fraction(lo),), (Fraction(hi),)) for lo, hi in sub_boxes),
+            )
+        assert err.value.field == "spectrum.sub_boxes"
+
+    @pytest.mark.parametrize("a", [int("1" * 3000), 10**160], ids=["repunit", "1e160"])
+    def test_box_past_the_float_range_is_a_schema_error(self, heisenberg, a):
+        # the repunit's volume is past the largest float; at 10**160 the
+        # measure a**2/2 is
+        box = SpectrumBox(a=(Fraction(a),))
+        with pytest.raises(SchemaError) as err:
+            spectral_measure(density_polynomial(heisenberg), box)
+        assert err.value.field == "spectrum.a"
+
     def test_heisenberg_closed_form(self, heisenberg):
         # oracle: integral of the identity map over (0, a] is a^2/2
         det_b = density_polynomial(heisenberg)

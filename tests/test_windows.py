@@ -165,7 +165,8 @@ class TestGeneratorField:
         mu = spectral_measure(det_b, box, tol=4e-8)
         p = params_for([2, 3], [1, 1], [3, 3])
         field = build_generator_field(
-            example2, p, box, grid_shape=[4, 6], role="frame", mu_box=mu
+            example2, p, box, grid_shape=[4, 6], role="frame",
+            predicted_norm_sq=mu.value / float(p.covolume),
         )
         assert field.predicted_norm_sq == pytest.approx(23.0 / 81.0, abs=1e-9)
 
@@ -187,7 +188,8 @@ class TestGeneratorField:
         mu = spectral_measure(det_b, box, tol=4e-8)
         p = params_for([2, 3], [1, 1], [3, 3])
         field = build_generator_field(
-            example2, p, box, grid_shape=[16, 24], role="frame", mu_box=mu
+            example2, p, box, grid_shape=[16, 24], role="frame",
+            predicted_norm_sq=mu.value / float(p.covolume),
         )
         # rectangle-rule measure over the surviving grid nodes, divided by 54
         assert field.grid_measured_norm_sq() == pytest.approx(23.0 / 81.0, rel=2e-2)
