@@ -22,6 +22,7 @@ from nilframe import (
     fiber_lattice,
     load_spec,
     spectral_measure,
+    sup_density,
 )
 
 six = load_spec(
@@ -37,10 +38,11 @@ six = load_spec(
     }
 )
 box = SpectrumBox(a=(Fraction(2), Fraction(3)))
-params, sup = design_params(six, box)
+sup = sup_density(density_polynomial(six), box, tol=1e-9)
+params = design_params(six, box, sup, q=None, b=None, precision_digits=12)
 print("designed parameters:", params.as_dict())
 
-density = check_density_condition(six, params, box, sup_result=sup)
+density = check_density_condition(six, params, box, sup, tol=1e-9)
 print("density condition:", "pass" if density.passed else "fail", "-", density.detail)
 
 lam = (Fraction(1, 2), Fraction(5, 2))
@@ -65,8 +67,9 @@ heis = load_spec({"n": 3, "d": 1, "brackets": {"X1,Y1": ["1"]}})
 a = Fraction(2)
 hp = QuasiLatticeParams(a=(a,), q=(Fraction(1),), b=(a,))
 hbox = SpectrumBox(a=(a,))
-print("density at q=1:", check_density_condition(heis, hp, hbox).passed)
-onb = check_onb_condition(hp, a * a / 2)
+hsup = sup_density(density_polynomial(heis), hbox, tol=1e-9)
+print("density at q=1:", check_density_condition(heis, hp, hbox, hsup, tol=1e-9).passed)
+onb = check_onb_condition(hp, spectral_measure(density_polynomial(heis), hbox, tol=1e-9))
 print("basis check:", onb.detail)
 bad = QuasiLatticeParams(a=(a,), q=(Fraction(1, 2),), b=(a,))
-print("density at the required q=1/2:", check_density_condition(heis, bad, hbox).passed)
+print("density at the required q=1/2:", check_density_condition(heis, bad, hbox, hsup, tol=1e-9).passed)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import jump_indices, validate_class
-from .config import ConfigDocument, parse_config, resolve_params
+from .config import ConfigDocument, parse_config
 from .errors import (
     CertificationError,
     DensityViolationError,
@@ -97,28 +97,11 @@ def _stage_design(
     config: ConfigDocument, report: dict, sup: SupResult, mu: MeasureResult
 ) -> tuple[bool, QuasiLatticeParams, bool]:
     """Returns (verdict, lattice parameters, density condition verdict)."""
-    box = config.spectrum.box
-    fixed = resolve_params(config)
-    if fixed is not None:
-        params = fixed
-    else:
-        params, sup = design_params(
-            config.algebra,
-            box,
-            q_hint=config.lattice.q,
-            precision_digits=config.lattice.precision_digits,
-            sup_result=sup,
-        )
-    density = check_density_condition(
-        config.algebra, params, box, sup_result=sup, tol=config.spectrum.sup_tol
-    )
+    spec, box, lattice = config.algebra, config.spectrum.box, config.lattice
+    params = design_params(spec, box, sup, lattice.q, lattice.b, lattice.precision_digits)
+    density = check_density_condition(spec, params, box, sup, config.spectrum.sup_tol)
     onb = check_onb_condition(params, mu)
-    wavelet = check_wavelet_discretization(
-        config.algebra,
-        params,
-        box,
-        measure_tol=config.spectrum.sublevel_tol,
-    )
+    wavelet = check_wavelet_discretization(spec, params, box, config.spectrum.sublevel_tol)
     predicted_norm_sq = mu.value / float(params.covolume)
     report["design"] = {
         "params": params.as_dict(),
@@ -126,7 +109,7 @@ def _stage_design(
         "conditions": [density.as_dict(), onb.as_dict(), wavelet.as_dict()],
     }
     ok = density.passed
-    if config.lattice.onb_requested:
+    if lattice.onb_requested:
         ok = ok and onb.passed
     return ok, params, density.passed
 

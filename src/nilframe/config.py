@@ -15,7 +15,6 @@ from typing import Mapping
 
 from .algebra import LieAlgebraSpec, load_spec
 from .errors import SchemaError
-from .lattice import QuasiLatticeParams
 from .rationals import parse_rational, parse_rational_vector
 from .spectral import SpectrumBox, certified_tol
 
@@ -250,12 +249,3 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
         raw=doc,
     )
 
-
-def resolve_params(config: ConfigDocument) -> QuasiLatticeParams | None:
-    """Lattice parameters fixed by ``lattice.b``, with q all ones (the design
-    default) when ``lattice.q`` is absent; None without b, where q is a hint."""
-    b, q = config.lattice.b, config.lattice.q
-    if b is None:
-        return None
-    q = q if q is not None else (Fraction(1),) * len(b)
-    return QuasiLatticeParams(a=tuple(config.spectrum.box.a), q=q, b=b)

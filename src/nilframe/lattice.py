@@ -8,6 +8,7 @@ bracketed branch-and-bound results where a supremum or measure enters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -165,32 +166,30 @@ def check_density_condition(
     spec: LieAlgebraSpec,
     params: QuasiLatticeParams,
     box: SpectrumBox,
-    sup_result: SupResult | None = None,
-    tol: float = 1e-9,
+    sup: SupResult,
+    tol: float,
 ) -> ConditionReport:
-    """Uniform density condition: certified sup of the Plancherel density over
-    the box must not exceed prod(b_i q_i); ties count as satisfied."""
-    det_b = spec.matrices.det_b
-    if sup_result is None:
-        sup_result = sup_density(det_b, box, tol=tol)
+    """Uniform density condition: the certified sup of the Plancherel density
+    over the box, certified to ``tol``, must not exceed prod(b_i q_i); ties
+    count as satisfied."""
     bound = params.prod_bq
-    passed = sup_result.upper <= bound
-    if not passed and sup_result.lower <= bound:
+    passed = sup.upper <= bound
+    if not passed and sup.lower <= bound:
         # bracket straddles the bound: tighten once before giving a verdict,
         # but not below 1e-18, the smallest positive ``certified_tol``
-        sup_result = sup_density(det_b, box, tol=max(tol * 1e-3, 1e-18))
-        passed = sup_result.upper <= bound
-    margin = float(sup_result.upper / bound)
+        sup = sup_density(spec.matrices.det_b, box, tol=max(tol * 1e-3, 1e-18))
+        passed = sup.upper <= bound
+    margin = float(sup.upper / bound)
     return ConditionReport(
         condition="density",
         passed=passed,
         margins={
-            "sup_density": sup_result.value,
+            "sup_density": sup.value,
             "prod_bq": float(bound),
             "volume_ratio": margin,
         },
         detail=(
-            f"sup r(lam) = {sup_result.value:.12g} vs prod(b q) = {float(bound):.12g}; "
+            f"sup r(lam) = {sup.value:.12g} vs prod(b q) = {float(bound):.12g}; "
             f"max fiber lattice volume {margin:.12g} {'<=' if passed else '>'} 1"
         ),
     )
@@ -199,54 +198,61 @@ def check_density_condition(
 def design_params(
     spec: LieAlgebraSpec,
     box: SpectrumBox,
-    q_hint: Sequence[Fraction] | None = None,
-    sup_tol: float = 1e-9,
-    precision_digits: int = 12,
-    sup_result: SupResult | None = None,
-) -> tuple[QuasiLatticeParams, SupResult]:
-    """Pick lattice densities from the certified supremum.
+    sup: SupResult,
+    q: Sequence[Fraction] | None,
+    b: Sequence[Fraction] | None,
+    precision_digits: int,
+) -> QuasiLatticeParams:
+    """Lattice densities from the config's ``lattice.q`` and ``lattice.b`` and
+    the certified supremum ``sup`` of the density over the box.
 
-    a copies the box densities, every b_i is the smallest representable
-    rational at the configured precision with b_i**d >= sup (rounding up
-    shrinks fiber volumes, so the density condition survives the rounding),
-    and q defaults to all ones.  A q hint with prod(1/q_i) > 1 would break
-    the design guarantee and is rejected.  A ``sup_result`` already certified
-    over the same box is used as is.
+    a copies the box densities and q defaults to all ones.  A given b fixes
+    the lattice, with q taken as given.  Otherwise every b_i is the smallest
+    rational at ``precision_digits`` decimal digits with b_i**d >= sup.upper
+    (rounding up shrinks fiber volumes, so the density condition survives
+    the rounding), and q is a hint: one with prod(1/q_i) > 1 would break that
+    guarantee and is rejected.  Densities the report cannot print, a
+    rational past the int-to-str digit limit or a float outside the normal
+    binary64 range, are input errors on ``lattice``.
     """
-    if sup_result is None:
-        sup_result = sup_density(spec.matrices.det_b, box, tol=sup_tol)
     d = spec.d
-    if q_hint is not None:
-        q = tuple(Fraction(x) for x in q_hint)
-        if len(q) != d:
-            raise SchemaError("lattice.q", f"expected {d} entries")
-        inv_prod = math.prod(1 / x for x in q)
-        if inv_prod > 1:
+    if b is None:
+        if q is not None and (inv_prod := math.prod(1 / x for x in q)) > 1:
             raise SchemaError(
                 "lattice.q", f"hint violates prod(1/q_i) = {format_rational(inv_prod)} <= 1"
             )
-    else:
-        q = tuple(Fraction(1) for _ in range(d))
-    b_val = ceil_nth_root(sup_result.upper, d, digits=precision_digits)
-    b = tuple(b_val for _ in range(d))
-    return QuasiLatticeParams(a=tuple(box.a), q=q, b=b), sup_result
+        b = (ceil_nth_root(sup.upper, d, digits=precision_digits),) * d
+    params = QuasiLatticeParams(
+        a=tuple(box.a), q=tuple(q) if q is not None else (Fraction(1),) * d, b=tuple(b)
+    )
+    # the report prints q, b, prod(b q) and the covolume as rationals, and
+    # prod(b q), the covolume and the volume ratio as floats
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    cap = 10**limit if limit else math.inf
+    for x in (*params.q, *params.b, params.prod_bq, params.covolume):
+        if max(x.numerator, x.denominator) >= cap:
+            raise SchemaError("lattice", f"a density needs more than {limit} decimal digits")
+    lo, hi = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
+    for name, x in (
+        ("prod(b q)", params.prod_bq),
+        ("prod(a b q)", params.covolume),
+        ("sup r(lam) / prod(b q)", sup.upper / params.prod_bq),
+    ):
+        if not lo <= x <= hi:
+            raise SchemaError("lattice", f"{name} lies outside the float range")
+    return params
 
 
 def check_onb_condition(
     params: QuasiLatticeParams,
-    mu_box: MeasureResult | Fraction,
+    mu_box: MeasureResult,
 ) -> ConditionReport:
     """Basis criterion: the spectral measure of the box must equal
     prod(a) * prod(q b).  On failure, reports the uniform q that would close
     the equality with everything else held fixed, and whether that q is
     compatible with the density condition."""
     target = params.covolume
-    if isinstance(mu_box, MeasureResult):
-        mu_lo, mu_hi = mu_box.lower, mu_box.upper
-        mu_val = mu_box.value
-    else:
-        mu_lo = mu_hi = Fraction(mu_box)
-        mu_val = float(mu_box)
+    mu_lo, mu_hi, mu_val = mu_box.lower, mu_box.upper, mu_box.value
     tol_f = Fraction(str(BASIS_TOL))
     passed = (mu_lo - tol_f) <= target <= (mu_hi + tol_f)
     margins: dict = {
@@ -301,7 +307,7 @@ class StepMultiplicity:
 def check_necessary_bounds(
     spec: LieAlgebraSpec,
     params: QuasiLatticeParams,
-    mu_box: MeasureResult | Fraction,
+    mu_box: MeasureResult,
     multiplicity: StepMultiplicity,
     box: SpectrumBox,
 ) -> ConditionReport:
@@ -313,11 +319,7 @@ def check_necessary_bounds(
     det_b = spec.matrices.det_b
     subs: list[ConditionReport] = []
 
-    mu_lo, mu_hi = (
-        (mu_box.lower, mu_box.upper)
-        if isinstance(mu_box, MeasureResult)
-        else (Fraction(mu_box), Fraction(mu_box))
-    )
+    mu_lo, mu_hi = mu_box.lower, mu_box.upper
     bound = params.covolume
     measure_ok = mu_hi <= bound
     subs.append(
@@ -390,7 +392,7 @@ def check_wavelet_discretization(
     spec: LieAlgebraSpec,
     params: QuasiLatticeParams,
     box: SpectrumBox,
-    measure_tol: float = 5e-2,
+    measure_tol: float,
 ) -> ConditionReport:
     """Discretizable-wavelet conditions.
 

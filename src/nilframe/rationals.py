@@ -95,9 +95,6 @@ def ceil_nth_root(x: Fraction, d: int, digits: int = 12) -> Fraction:
     r = _int_nth_root_floor(n, d)
     if r**d < n:
         r += 1
-    root = Fraction(r, scale)
-    while root**d < x:  # defensive; ceil above should already cover this
-        r += 1
-        root = Fraction(r, scale)
-    return root
+    # r**d >= n >= x * scale**d, so (r / scale)**d >= x
+    return Fraction(r, scale)
 

@@ -502,7 +502,7 @@ def certified_tol(tol: float) -> Fraction:
 def sup_density(
     det_b: SpectralPolynomial,
     box: SpectrumBox,
-    tol: float = 1e-9,
+    tol: float,
     max_boxes: int = 2_000_000,
 ) -> SupResult:
     """Certified supremum of |det_b| over the box, by branch-and-bound.
@@ -653,7 +653,7 @@ class MeasureResult:
 def spectral_measure(
     det_b: SpectralPolynomial,
     region: SpectrumBox,
-    tol: float = 1e-9,
+    tol: float,
     threshold: Fraction | None = None,
     max_boxes: int = 4_000_000,
     strict: bool = True,

@@ -79,3 +79,11 @@ def random_valid_spec(rng: random.Random) -> LieAlgebraSpec:
         spec = load_spec({"n": n, "d": d, "brackets": brackets}, label="random")
         if not determinant(build_matrices(spec).modulation).is_zero():
             return spec
+
+
+def exact_measure(x) -> "MeasureResult":
+    """A zero-width certified measure at the exact value ``x``."""
+    from nilframe.spectral import MeasureCertificate, MeasureResult
+
+    x = Fraction(x)
+    return MeasureResult(float(x), x, x, MeasureCertificate(boxes=0, depth=0, converged=True))

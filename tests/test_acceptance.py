@@ -49,7 +49,7 @@ from nilframe.verify import (
 )
 from nilframe.windows import FieldNode, build_generator_field, synthesize_window
 
-from conftest import EXAMPLE2_DOC, EXAMPLE3_DOC, HEISENBERG_DOC, random_valid_spec
+from conftest import EXAMPLE2_DOC, EXAMPLE3_DOC, HEISENBERG_DOC, exact_measure, random_valid_spec
 
 
 @contextmanager
@@ -122,7 +122,7 @@ def test_criterion_1_example2_pipeline():
         assert mu.lower <= F(46, 3) <= mu.upper
         assert abs(mu.value - 46.0 / 3.0) <= 1e-6
 
-        params, _ = design_params(spec, box, sup_tol=1e-9)
+        params = design_params(spec, box, sup, q=None, b=None, precision_digits=12)
         assert params.a == (F(2), F(3))
         assert params.q == (F(1), F(1))
         assert params.b == (F(3), F(3))
@@ -154,14 +154,15 @@ def test_criterion_2_heisenberg_design():
             assert abs(lat.modulation[0][0]) == abs(lam[0]) / q
 
         # density holds exactly when 1/q <= 1
+        sup = sup_density(density_polynomial(spec), box, tol=1e-9)
         for q, expected in ((F(1), True), (F(3), True), (F(1, 2), False)):
             params = QuasiLatticeParams(a=(a,), q=(q,), b=(a,))
-            rep = check_density_condition(spec, params, box)
+            rep = check_density_condition(spec, params, box, sup, tol=1e-9)
             assert rep.passed is expected, f"q={q}"
 
         # basis equality forces q = 1/2, which density rejects
         params = QuasiLatticeParams(a=(a,), q=(F(1),), b=(a,))
-        mu = a * a / 2  # closed-form integral of the density over (0, a]
+        mu = exact_measure(a * a / 2)  # closed-form integral of the density over (0, a]
         onb = check_onb_condition(params, mu)
         assert not onb.passed
         assert onb.margins["required_uniform_q"] == "1/2"

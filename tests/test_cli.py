@@ -317,6 +317,19 @@ class TestRunCommand:
         assert tols == [pytest.approx(1e-9)]
         assert report["spectral"]["sup_density"]["upper"] == "4194305/2097152"
 
+    @pytest.mark.parametrize(
+        "fixture, spectrum, b",
+        [("example2", {}, ["3", "3"]), ("heisenberg", {"a": ["2"]}, ["2"])],
+    )
+    def test_design_without_b_takes_the_root_of_the_sup(self, fixture, spectrum, b):
+        # sup 9 on example2's box (2, 3) and 2 on heisenberg's (2)
+        doc = json.loads(fixture_path(f"{fixture}.json").read_text())
+        doc["spectrum"].update(spectrum)
+        doc["lattice"] = {}
+        report, code = run_command("design", parse_config(doc))
+        assert code == EXIT_PASS
+        assert report["design"]["params"]["b"] == b
+
     def test_density_straddle_recertifies_no_finer_than_1e_18(self):
         # at sup_tol 1e-16 the straddle would re-certify at 1e-19, which
         # rounds to 0; at 1e-18, b**3 - 2 ~ 1.3e-20 still straddles: exit 2
@@ -474,6 +487,42 @@ class TestMainEntry:
         code = main(["design", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_CONDITION
         assert json.loads(out.read_text())["design"]["params"]["b"] == ["1/2"]
+
+    def test_main_fixed_b_keeps_a_q_below_one(self, tmp_path, capsys):
+        # beside a given b, q = 1/2 is no hint to reject: it is kept, and the
+        # density condition fails (sup 2 > prod(b q) = 1)
+        cfg = tmp_path / "c.json"
+        doc = desk_config_doc(spectrum={"a": ["2"]}, lattice={"q": ["1/2"], "b": ["2"]})
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = main(["design", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONDITION
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(out.read_text())["design"]["params"]["q"] == ["1/2"]
+
+    @pytest.mark.parametrize(
+        "fixture, lattice",
+        [
+            ("heisenberg", {"q": ["1"], "b": [str(10**400)]}),
+            ("heisenberg", {"q": [str(10**400)], "b": ["1"]}),
+            ("heisenberg", {"q": ["1"], "b": [f"1/{10**400}"]}),
+            ("example3", {"precision_digits": 1500}),
+        ],
+        ids=["b-1e400", "q-1e400", "b-1e-400", "digits-1500"],
+    )
+    def test_main_design_densities_out_of_range_exit_3(self, tmp_path, capsys, fixture, lattice):
+        # prod(b q) = 10**±400 is past the float range; at 1500 digits the
+        # covolume of example3's designed lattice has a 4,501-digit
+        # denominator, past the int-to-str digit limit
+        doc = json.loads(fixture_path(f"{fixture}.json").read_text())
+        doc["lattice"] = lattice
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["design", "--config", str(cfg)])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["error"]["field"] == "lattice"
 
     def test_main_examples_single(self, capsys):
         code = main(["examples", "--example", "1"])

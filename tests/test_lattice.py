@@ -16,7 +16,15 @@ from nilframe.lattice import (
     design_params,
     fiber_lattice,
 )
-from nilframe.spectral import SpectrumBox, density_polynomial, eval_density, spectral_measure
+from nilframe.spectral import (
+    SpectrumBox,
+    density_polynomial,
+    eval_density,
+    spectral_measure,
+    sup_density,
+)
+
+from conftest import exact_measure
 
 
 def F(*args):
@@ -29,6 +37,20 @@ def params_for(a, q, b):
         q=tuple(Fraction(x) for x in q),
         b=tuple(Fraction(x) for x in b),
     )
+
+
+def certified_sup(spec, box):
+    return sup_density(density_polynomial(spec), box, tol=1e-9)
+
+
+def density_check(spec, params, box):
+    return check_density_condition(spec, params, box, certified_sup(spec, box), tol=1e-9)
+
+
+def designed(spec, box, q=None, b=None):
+    """``design_params`` at the config defaults, and the sup it was given."""
+    sup = certified_sup(spec, box)
+    return design_params(spec, box, sup, q, b, precision_digits=12), sup
 
 
 class TestParams:
@@ -78,34 +100,34 @@ class TestDensityCondition:
     def test_heisenberg_unit_q_passes(self, heisenberg):
         box = SpectrumBox(a=(F(2),))
         p = params_for([2], [1], [2])
-        rep = check_density_condition(heisenberg, p, box)
+        rep = density_check(heisenberg, p, box)
         assert rep.passed
         assert rep.margins["volume_ratio"] == pytest.approx(1.0)
 
     def test_heisenberg_half_q_fails(self, heisenberg):
         box = SpectrumBox(a=(F(2),))
         p = params_for([2], ["1/2"], [2])
-        rep = check_density_condition(heisenberg, p, box)
+        rep = density_check(heisenberg, p, box)
         assert not rep.passed
         assert rep.margins["volume_ratio"] == pytest.approx(2.0)
 
     def test_example2_designed_params_pass(self, example2):
         box = SpectrumBox(a=(F(2), F(3)))
         p = params_for([2, 3], [1, 1], [3, 3])
-        assert check_density_condition(example2, p, box).passed
+        assert density_check(example2, p, box).passed
 
     def test_monotone_in_b_and_q(self, heisenberg):
         box = SpectrumBox(a=(F(2),))
-        base = check_density_condition(heisenberg, params_for([2], [1], [2]), box)
+        base = density_check(heisenberg, params_for([2], [1], [2]), box)
         assert base.passed
         for bigger in (params_for([2], [2], [2]), params_for([2], [1], [3])):
-            assert check_density_condition(heisenberg, bigger, box).passed
+            assert density_check(heisenberg, bigger, box).passed
 
 
 class TestDesignParams:
     def test_example2_design(self, example2):
         box = SpectrumBox(a=(F(2), F(3)))
-        params, sup = design_params(example2, box)
+        params, sup = designed(example2, box)
         assert params.a == (F(2), F(3))
         assert params.q == (F(1), F(1))
         assert params.b == (F(3), F(3))  # exact square root of the certified sup 9
@@ -113,25 +135,41 @@ class TestDesignParams:
 
     def test_heisenberg_design(self, heisenberg):
         box = SpectrumBox(a=(F(2),))
-        params, _ = design_params(heisenberg, box)
+        params, _ = designed(heisenberg, box)
         assert params.b == (F(2),) and params.q == (F(1),)
 
     def test_unit_sup_gives_unit_b(self, heisenberg):
         box = SpectrumBox(a=(F(1),))
-        params, _ = design_params(heisenberg, box)
+        params, _ = designed(heisenberg, box)
         assert params.b == (F(1),)
 
     def test_design_always_passes_density(self, example2, heisenberg, example3):
         for spec, a in ((heisenberg, (F(3),)), (example2, (F(2), F(3))), (example3, (F(1), F(1), F(1)))):
             box = SpectrumBox(a=a)
-            params, sup = design_params(spec, box)
-            rep = check_density_condition(spec, params, box, sup_result=sup)
+            params, sup = designed(spec, box)
+            rep = check_density_condition(spec, params, box, sup, tol=1e-9)
             assert rep.passed
+
+    def test_fixed_b_is_kept_with_unit_q(self, heisenberg):
+        # a given b fixes the lattice: the sup (2 here) rounds nothing, and
+        # q is all ones when absent
+        box = SpectrumBox(a=(F(2),))
+        params, _ = designed(heisenberg, box, b=[F(7, 3)])
+        assert params.b == (F(7, 3),)
+        assert params.q == (F(1),)
+
+    def test_fixed_b_takes_q_as_given(self, heisenberg):
+        # prod(1/q) = 2 > 1 is rejected as a hint, but kept beside a given b;
+        # the density condition then fails
+        box = SpectrumBox(a=(F(2),))
+        params, sup = designed(heisenberg, box, q=[F(1, 2)], b=[F(2)])
+        assert params.q == (F(1, 2),)
+        assert not check_density_condition(heisenberg, params, box, sup, tol=1e-9).passed
 
     def test_bad_q_hint_rejected(self, heisenberg):
         box = SpectrumBox(a=(F(1),))
         with pytest.raises(SchemaError):
-            design_params(heisenberg, box, q_hint=[Fraction(1, 2)])
+            designed(heisenberg, box, q=[Fraction(1, 2)])
 
     def test_irrational_root_rounds_up(self, heisenberg):
         # box (0, 2] scaled so the sup is 2, d = 1 keeps it exact; force d-th
@@ -155,13 +193,13 @@ class TestDesignParams:
 class TestOnbCondition:
     def test_definitional_pass(self):
         p = params_for([2], [1], [2])
-        rep = check_onb_condition(p, Fraction(4))  # prod(a) prod(qb) = 2 * 2
+        rep = check_onb_condition(p, exact_measure(4))  # prod(a) prod(qb) = 2 * 2
         assert rep.passed
 
     def test_heisenberg_requires_half_q(self, heisenberg):
         a = F(2)
         p = params_for([2], [1], [2])
-        mu = a * a / 2  # closed-form spectral mass of (0, a]
+        mu = exact_measure(a * a / 2)  # closed-form spectral mass of (0, a]
         rep = check_onb_condition(p, mu)
         assert not rep.passed
         assert rep.margins["required_uniform_q"] == "1/2"
@@ -205,7 +243,7 @@ class TestNecessaryBounds:
         box = SpectrumBox(a=(F(2), F(3)))
         p = params_for([2, 3], [1, 1], [3, 3])
         mult = StepMultiplicity.constant(box, 0)
-        rep = check_necessary_bounds(example2, p, Fraction(0), mult, box)
+        rep = check_necessary_bounds(example2, p, exact_measure(0), mult, box)
         assert rep.passed
         by_name = {s.condition: s for s in rep.sub_reports}
         assert by_name["admissibility_norm"].margins["norm_sq"] == 0.0
@@ -214,7 +252,7 @@ class TestNecessaryBounds:
         # definitional: measure equal to the product bound also satisfies it
         p = params_for([2], [1], [2])
         target = p.prod_a * p.prod_bq
-        onb = check_onb_condition(p, target)
+        onb = check_onb_condition(p, exact_measure(target))
         assert onb.passed
         assert target <= p.prod_q * p.prod_b * p.prod_a
 

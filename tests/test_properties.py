@@ -106,8 +106,9 @@ def test_designed_params_always_satisfy_density(seed):
     rng = random.Random(seed)
     spec = random_valid_spec(rng)
     box = SpectrumBox(a=tuple(Fraction(rng.randint(1, 3)) for _ in range(spec.center_dim)))
-    params, sup = design_params(spec, box, sup_tol=1e-6)
-    report = check_density_condition(spec, params, box, sup_result=sup, tol=1e-6)
+    sup = sup_density(density_polynomial(spec), box, tol=1e-6)
+    params = design_params(spec, box, sup, q=None, b=None, precision_digits=12)
+    report = check_density_condition(spec, params, box, sup, tol=1e-6)
     assert report.passed
 
 
@@ -147,14 +148,15 @@ def test_density_verdict_monotone_under_parameter_growth():
     for _ in range(10):
         spec = random_valid_spec(rng)
         box = SpectrumBox(a=tuple(Fraction(1) for _ in range(spec.center_dim)))
-        params, sup = design_params(spec, box, sup_tol=1e-6)
-        assert check_density_condition(spec, params, box, sup_result=sup).passed
+        sup = sup_density(density_polynomial(spec), box, tol=1e-6)
+        params = design_params(spec, box, sup, q=None, b=None, precision_digits=12)
+        assert check_density_condition(spec, params, box, sup, tol=1e-6).passed
         grown = QuasiLatticeParams(
             a=params.a,
             q=tuple(x * rng.randint(1, 3) for x in params.q),
             b=tuple(x * rng.randint(1, 3) for x in params.b),
         )
-        assert check_density_condition(spec, grown, box, sup_result=sup).passed
+        assert check_density_condition(spec, grown, box, sup, tol=1e-6).passed
 
 
 def test_window_norm_equals_volume_across_random_fibers():
@@ -168,7 +170,8 @@ def test_window_norm_equals_volume_across_random_fibers():
             continue  # keep piece counts small for speed
         det_b = density_polynomial(spec)
         box = SpectrumBox(a=tuple(Fraction(1) for _ in range(spec.center_dim)))
-        params, _ = design_params(spec, box, sup_tol=1e-6)
+        sup = sup_density(det_b, box, tol=1e-6)
+        params = design_params(spec, box, sup, q=None, b=None, precision_digits=12)
         lam = tuple(Fraction(2 * rng.randint(0, 7) + 1, 16) for _ in range(spec.center_dim))
         lat = fiber_lattice(spec, params, lam)
         if lat.det_b == 0 or lat.volume > 1:

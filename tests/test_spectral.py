@@ -208,7 +208,7 @@ class TestSpectralMeasure:
         # measure a**2/2 is
         box = SpectrumBox(a=(Fraction(a),))
         with pytest.raises(SchemaError) as err:
-            spectral_measure(density_polynomial(heisenberg), box)
+            spectral_measure(density_polynomial(heisenberg), box, tol=1e-9)
         assert err.value.field == "spectrum.a"
 
     def test_heisenberg_closed_form(self, heisenberg):
