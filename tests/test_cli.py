@@ -380,6 +380,23 @@ def test_fixture_reports_pinned(command, fixture, digest):
     assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "fixture, digest",
+    [
+        ("heisenberg", "6307b043593774ff1a34cd65f5a496bb72b991bd0094a068d2b5aeaecc4f014e"),
+        ("example2", "b2336ab2f3433562f215fb90f6735505083d4d51cbc02176743f4d4ad61be599"),
+    ],
+)
+def test_fixture_field_documents_pinned(tmp_path, fixture, digest):
+    # the field document's floats come only from exact rationals and
+    # math.sqrt, so the cut-and-stack kernel and the writer must leave the
+    # file that `synthesize --out` writes bit for bit
+    out = tmp_path / "field.json"
+    _, code = run_command("synthesize", parse_config(fixture_path(f"{fixture}.json")), out_path=str(out))
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestMainEntry:
     def test_main_validate(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
