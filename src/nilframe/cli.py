@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from . import __version__
@@ -376,7 +378,93 @@ def error_exit(exc: NilframeError) -> tuple[dict, int]:
 
 
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The text of a report or field document: exactly the bytes of
+    ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``.
+
+    json indents in pure Python, one small chunk per token; this writer
+    appends the same text straight to one list.  The indent and separator
+    strings are shared per depth, and a list of strings is joined at once.
+    Scalars print as json prints them (``int.__repr__``, ``float.__repr__``;
+    NaN and the infinities raise ValueError), dictionaries go out sorted by
+    key, and keys that are not strings are coerced as json coerces them.
+    """
+    parts: list[str] = []
+    append = parts.append
+    newlines = ["\n"]  # newlines[k]: a line break and the indent of depth k
+    separators = [",\n"]  # separators[k]: the comma between items at depth k
+    key_texts: dict[str, str] = {}
+
+    def write(value, depth: int) -> None:
+        if isinstance(value, str):
+            append(_json_string(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, float):
+            append(_json_float(value))
+        elif not isinstance(value, (list, tuple, dict)):
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        elif not value:
+            append("{}" if isinstance(value, dict) else "[]")
+        else:
+            inner = depth + 1
+            if inner == len(newlines):
+                newlines.append(newlines[-1] + "  ")
+                separators.append("," + newlines[-1])
+            separator = separators[inner]
+            is_dict = isinstance(value, dict)
+            append("{" if is_dict else "[")
+            append(newlines[inner])
+            if is_dict:
+                for i, (key, item) in enumerate(sorted(value.items())):
+                    if i:
+                        append(separator)
+                    if type(key) is str:
+                        append(key_texts.get(key) or key_texts.setdefault(key, _json_string(key) + ": "))
+                    else:
+                        append(_json_string(_json_key(key)) + ": ")
+                    write(item, inner)
+            elif all(isinstance(item, str) for item in value):
+                append(separator.join(map(_json_string, value)))
+            else:
+                for i, item in enumerate(value):
+                    if i:
+                        append(separator)
+                    write(item, inner)
+            append(newlines[depth])
+            append("}" if is_dict else "]")
+
+    write(doc, 0)
+    append("\n")
+    return "".join(parts)
+
+
+def _json_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    """A dictionary key as json turns it into a string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def write_output(path: str, text: str, field: str) -> None:

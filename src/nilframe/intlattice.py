@@ -1,11 +1,15 @@
-"""Exact linear algebra over rationals and column-style Hermite normal form.
+"""Exact linear algebra over integers and rationals, and column-style Hermite
+normal form.
 
-This is the package's one exact rational linear-algebra module: products,
-determinants and inverses of Fraction matrices for the algebra checks, the
-fiber lattices, the window synthesis and the verifier.  Window synthesis and
-the verifier's tiling certificate also share its integer residues modulo a
-Hermite basis and its packing test for a single cell.  Everything here is a
-list of lists of Fractions (or ints for HNF), sized d <= 3 in practice.
+This is the package's one exact linear-algebra module: products,
+determinants, adjugates and inverses of Fraction or integer matrices for the
+algebra checks, the fiber lattices, the window synthesis and the verifier.
+A rational matrix enters the integer kernels as integer numerators over one
+positive denominator (``cleared_denominators``); its inverse stays in that
+form (``integer_inverse``).  Window synthesis and the verifier's tiling
+certificate share the integer residues modulo a Hermite basis and the
+packing test for a single cell.  Everything here is a list of lists, sized
+d <= 3 in practice.
 """
 
 from __future__ import annotations
@@ -13,18 +17,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
 
 
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)] for i in range(rows)]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def mat_transpose(a: Sequence[Sequence[Fraction]]) -> Matrix:
@@ -32,18 +37,53 @@ def mat_transpose(a: Sequence[Sequence[Fraction]]) -> Matrix:
 
 
 def mat_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant by cofactors; integer for an integer matrix."""
     n = len(m)
     if n == 1:
-        return Fraction(m[0][0])
+        return m[0][0]
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = Fraction(0)
+    total = 0
     for j in range(n):
         if m[0][j] == 0:
             continue
         sub = [row[:j] + row[j + 1 :] for row in m[1:]]
         total += (-1) ** j * m[0][j] * mat_det(sub)
     return total
+
+
+def adjugate(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Transposed cofactor matrix: adj(m) m = det(m) I, integer for an integer m."""
+    n = len(m)
+    if n == 1:
+        return [[1]]
+    return [
+        [
+            (-1) ** (i + j) * mat_det([row[:i] + row[i + 1 :] for k, row in enumerate(m) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def divide_exact(m: Sequence[Sequence[int]], k: int) -> list[list[int]]:
+    """The integer matrix m / k; ValueError when an entry is not a multiple of k."""
+    out = []
+    for row in m:
+        int_row = []
+        for x in row:
+            q, r = divmod(x, k)
+            if r:
+                raise ValueError(f"entry {Fraction(x, k)} is not an integer")
+            int_row.append(q)
+        out.append(int_row)
+    return out
+
+
+def integer_inverse(num: Sequence[Sequence[int]], den: int) -> tuple[list[list[int]], int]:
+    """The inverse of num / den as integer numerators over one denominator:
+    den adj(num) / det(num).  The denominator may be negative."""
+    return [[den * x for x in row] for row in adjugate(num)], mat_det(num)
 
 
 def mat_inv(m: Sequence[Sequence[Fraction]]) -> Matrix:
@@ -112,29 +152,15 @@ def cleared_denominators(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int
     """Integer numerators and the least common denominator den of a
     rational matrix: m = numerators / den."""
     den = math.lcm(*(x.denominator for row in m for x in row))
-    return [[int(x * den) for x in row] for row in m], den
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
 
 
-def lattice_sum_basis(g: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Basis of the lattice generated by the columns of g together with Z^d."""
-    d = len(g)
-    num, den = cleared_denominators(g)
-    # columns of den * g next to those of den * I
-    stacked = [row + [den if i == j else 0 for j in range(d)] for i, row in enumerate(num)]
-    w = hnf_columns(stacked)
-    return [[Fraction(w[i][j], den) for j in range(d)] for i in range(d)]
-
-
-def integer_matrix(m: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in m:
-        int_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError(f"entry {x} is not an integer")
-            int_row.append(int(x))
-        out.append(int_row)
-    return out
+def lattice_sum_basis(gn: Sequence[Sequence[int]], g: int) -> list[list[int]]:
+    """Basis of the lattice generated by the columns of G = gn / g together
+    with Z^d, over the same denominator: that lattice is (W / g) Z^d, with W
+    the column Hermite form of [gn | g I] returned here (g > 0)."""
+    d = len(gn)
+    return hnf_columns([row + [g if i == j else 0 for j in range(d)] for i, row in enumerate(gn)])
 
 
 def residue(v: Sequence[int], h: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -150,12 +176,15 @@ def residue(v: Sequence[int], h: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(r)
 
 
-def cell_packs(g: Sequence[Sequence[Fraction]]) -> bool:
-    """Does G [0,1)^d pack modulo Z^d?  True iff no nonzero integer vector
-    lies in the open difference body G (-1,1)^d."""
-    ginv = mat_inv(g)
-    bounds = [int(sum(abs(x) for x in row)) for row in g]
+def cell_packs(gn: Sequence[Sequence[int]], g: int) -> bool:
+    """Does G [0,1)^d pack modulo Z^d, for G = gn / g with gn a nonsingular
+    integer matrix?  True iff no nonzero integer vector m lies in the open
+    difference body G (-1,1)^d, where |G^-1 m| < 1 reads
+    |g adj(gn) m| < |det gn| in every row."""
+    ginv, det = integer_inverse(gn, g)
+    det = abs(det)
+    bounds = [sum(map(abs, row)) // abs(g) for row in gn]
     for m in product(*[range(-b, b + 1) for b in bounds]):
-        if any(m) and all(abs(t) < 1 for t in mat_vec(ginv, m)):
+        if any(m) and all(abs(sum(map(mul, row, m))) < det for row in ginv):
             return False
     return True

@@ -226,7 +226,8 @@ def design_params(
         a=tuple(box.a), q=tuple(q) if q is not None else (Fraction(1),) * d, b=tuple(b)
     )
     # the report prints q, b, prod(b q) and the covolume as rationals, and
-    # prod(b q), the covolume and the volume ratio as floats
+    # prod(b q), the covolume and the volume ratio as floats; the basis
+    # check divides by prod(b) and prints a q of about 1/prod(q) as floats
     limit = sys.get_int_max_str_digits()  # 0: no limit
     cap = 10**limit if limit else math.inf
     for x in (*params.q, *params.b, params.prod_bq, params.covolume):
@@ -234,6 +235,8 @@ def design_params(
             raise SchemaError("lattice", f"a density needs more than {limit} decimal digits")
     lo, hi = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
     for name, x in (
+        ("prod(b)", params.prod_b),
+        ("prod(q)", params.prod_q),
         ("prod(b q)", params.prod_bq),
         ("prod(a b q)", params.covolume),
         ("sup r(lam) / prod(b q)", sup.upper / params.prod_bq),

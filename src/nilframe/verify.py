@@ -19,9 +19,9 @@ rejected), so requesting more central indices than the grid resolves cannot
 double-count energy; the clipping is reported, never hidden.
 
 The tiling certificate and the Gram diagnostic read one piece-cell view of
-each window (``PiecewiseBoxWindow.cells`` and ``lattice_cells``).  Its
-cells and translations are integer, so every overlap of a piece with a
-translate of another piece is whole or empty.
+each window (``PiecewiseBoxWindow.cells``, ``translation_cells`` and
+``dual_cells``).  Its cells and translations are integer, so every overlap
+of a piece with a translate of another piece is whole or empty.
 
 This is the package's only numpy consumer, and it loads numpy on first use:
 validation, the spectral certificates, lattice design and synthesis run on
@@ -45,8 +45,9 @@ from .errors import MisalignedGridError, SchemaError
 from .intlattice import (
     cell_packs,
     cleared_denominators,
+    divide_exact,
     hnf_columns,
-    integer_matrix,
+    integer_inverse,
     mat_det,
     mat_inv,
     mat_vec,
@@ -548,26 +549,26 @@ def window_tiling_check(
 ) -> TilingReport:
     """Exact tiling and packing certificate in piece-cell coordinates.
 
-    The window's piece-cell view (``PiecewiseBoxWindow.cells`` and
-    ``lattice_cells``, with P the shape the pieces share) turns every piece
-    into the unit cube at V = P^{-1} offset, the translations into
-    A = P^{-1} T and the dual modulations into D = P^{-1} C^{-tr}.  A window
-    whose A and V are integer tiles iff V is a complete residue system
-    modulo A Z^d; each class of A Z^d counts its pieces, and an uncovered
-    class deviates by one.  It packs iff the residues of V modulo D Z^d are
-    distinct when D is integer, or, for a single piece, iff the open cube
-    (-1,1)^d holds no nonzero dual vector.  Identical pieces never pack.  Any
-    other window is reported as uncertifiable and fails.  Only the window
-    and the lattice are read; the synthesizer is never called.
+    The window's piece-cell view (``PiecewiseBoxWindow.cells``,
+    ``translation_cells`` and ``dual_cells``, with P the shape the pieces
+    share) turns every piece into the unit cube at V = P^{-1} offset, the
+    translations into A = P^{-1} T and the dual modulations into
+    D = P^{-1} C^{-tr}.  A window whose A and V are integer tiles iff V is a
+    complete residue system modulo A Z^d; each class of A Z^d counts its
+    pieces, and an uncovered class deviates by one.  It packs iff the
+    residues of V modulo D Z^d are distinct when D is integer, or, for a
+    single piece, iff the open cube (-1,1)^d holds no nonzero dual vector.
+    Identical pieces never pack.  Any other window is reported as
+    uncertifiable and fails.  Only the window and the lattice are read; the
+    synthesizer is never called.
     """
     worst: tuple = ()
     max_dev = 0
     max_pack = 0
     certified = True
     for window, lattice in windows:
-        trans, dual = window.lattice_cells(lattice)
         try:
-            trans, cubes = integer_matrix(trans), window.cells
+            trans, cubes = window.translation_cells(lattice), window.cells
         except ValueError:
             certified = False
             worst = ("uncertifiable", lattice.lam, "translations or pieces off the piece grid")
@@ -580,12 +581,13 @@ def window_tiling_check(
             worst = ("tiling", lattice.lam, dev)
         max_dev = max(max_dev, dev)
 
-        if all(x.denominator == 1 for row in dual for x in row):
-            h = hnf_columns(integer_matrix(dual))
+        dual, dual_den = window.dual_cells(lattice)
+        if all(x % dual_den == 0 for row in dual for x in row):
+            h = hnf_columns(divide_exact(dual, dual_den))
             pack = max(Counter(residue(v, h) for v in cubes).values(), default=0)
         elif len(set(cubes)) <= 1:
             pack = len(cubes)
-            if cubes and not cell_packs(mat_inv(dual)):
+            if cubes and not cell_packs(*integer_inverse(dual, dual_den)):
                 pack = max(pack, 2)
         else:
             certified = False
@@ -639,7 +641,7 @@ class _FiberGram:
         self.weight = window.scale**2 * float(window.piece_measure)
         self.cells = window.cells
         self.counts = Counter(self.cells)
-        self.trans_cells = integer_matrix(window.lattice_cells(node.lattice)[0])
+        self.trans_cells = window.translation_cells(node.lattice)
         # T n' goes to floats as integer sums over one common denominator,
         # rounded once like the exact product
         self.trans_num, self.trans_den = cleared_denominators(node.lattice.translation)

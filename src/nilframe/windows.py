@@ -19,15 +19,21 @@ finished pieces go back to x: they share the shape P = C^{-tr} W and sit at
 P v, so v is also the piece-cell coordinate P^{-1} x.  The frame verifier
 certifies tiling and packing again from the window and the lattice alone,
 with the same integer residues.
+
+Cut-and-stack runs on integers over one denominator: with C = Cn / c and
+T = Tn / t it takes G = Cn^tr Tn / (c t), W as integer numerators over c t,
+and adjugates in place of inverses; only the shape and the offsets become
+Fractions, once each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import product
+from operator import add, mul
 from typing import Sequence
 
 from .algebra import LieAlgebraSpec
@@ -38,13 +44,14 @@ from .errors import (
     SchemaError,
 )
 from .intlattice import (
+    adjugate,
     cell_packs,
     cleared_denominators,
+    divide_exact,
     hnf_columns,
-    integer_matrix,
+    integer_inverse,
     lattice_sum_basis,
     mat_det,
-    mat_inv,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -61,9 +68,10 @@ class PiecewiseBoxWindow:
 
     Every piece is shape @ [0,1)^d + offset; pieces share the shape matrix P.
     In piece-cell coordinates t = P^{-1} x every piece is the unit cube at
-    its cell V = P^{-1} offset: ``cells`` holds these integer points (a
-    window off the integer grid raises ValueError), and ``lattice_cells``
-    brings a fiber lattice into the same coordinates.
+    its cell V = P^{-1} offset: ``cells`` holds these integer points, and
+    ``translation_cells`` and ``dual_cells`` bring a fiber lattice into the
+    same coordinates.  All three run on integers over one denominator each;
+    a window or translation off the integer grid raises ValueError.
     """
 
     scale: float
@@ -91,19 +99,31 @@ class PiecewiseBoxWindow:
         return self.scale**2 * float(self.total_measure)
 
     @cached_property
-    def _shape_inv(self) -> list[list[Fraction]]:
-        return mat_inv(self.shape)
+    def _shape_inv(self) -> tuple[list[list[int]], int]:
+        """P^{-1} as integer numerators over one denominator."""
+        return integer_inverse(*cleared_denominators(self.shape))
 
     @cached_property
     def cells(self) -> tuple[tuple[int, ...], ...]:
         """Integer cell V = P^{-1} offset of every piece, in piece order."""
-        return tuple(map(tuple, integer_matrix([mat_vec(self._shape_inv, o) for o in self.offsets])))
+        inv, den = self._shape_inv
+        offsets, offset_den = cleared_denominators(self.offsets)
+        return tuple(map(tuple, divide_exact(mat_mul(offsets, mat_transpose(inv)), den * offset_den)))
 
-    def lattice_cells(self, lattice: FiberGaborLattice) -> tuple[list, list]:
-        """The lattice's translations A = P^{-1} T and dual modulations
-        D = P^{-1} C^{-tr} in piece-cell coordinates, as exact matrices."""
-        dual = mat_inv(mat_transpose(lattice.modulation))
-        return mat_mul(self._shape_inv, lattice.translation), mat_mul(self._shape_inv, dual)
+    def translation_cells(self, lattice: FiberGaborLattice) -> list[list[int]]:
+        """The lattice's translations A = P^{-1} T in piece-cell coordinates,
+        an integer matrix."""
+        inv, den = self._shape_inv
+        trans, trans_den = cleared_denominators(lattice.translation)
+        return divide_exact(mat_mul(inv, trans), den * trans_den)
+
+    def dual_cells(self, lattice: FiberGaborLattice) -> tuple[list[list[int]], int]:
+        """The lattice's dual modulations D = P^{-1} C^{-tr} in piece-cell
+        coordinates, as integer numerators over one denominator."""
+        inv, den = self._shape_inv
+        mod, mod_den = cleared_denominators(lattice.modulation)
+        dual, dual_den = integer_inverse(mat_transpose(mod), mod_den)
+        return mat_mul(inv, dual), den * dual_den
 
 
 # how many shells of G-translates cut-and-stack searches for a fresh residue
@@ -124,49 +144,58 @@ def synthesize_window(lattice: FiberGaborLattice, piece_limit: int = 4096) -> Pi
         raise DensityViolationError(
             f"fiber lattice volume {format_rational(lattice.volume)} exceeds 1"
         )
-    trans = [list(r) for r in lattice.translation]
-    mod = [list(r) for r in lattice.modulation]
-    scale = math.sqrt(abs(float(mat_det(mod))))
-    # sheared coordinates u = C^tr x: tiling lattice G Z^d, packing lattice Z^d
-    g = mat_mul(mat_transpose(mod), trans)
-    offsets, basis = _stack_pieces(g, piece_limit)
-    shape = mat_mul(mat_inv(mat_transpose(mod)), basis)
-    # pieces go to x as P v, on integers over one common denominator of P
-    shape_num, den = cleared_denominators(shape)
+    # T = tn / t and C = cn / c on integers
+    tn, t = cleared_denominators(lattice.translation)
+    cn, c = cleared_denominators(lattice.modulation)
+    cn_tr = mat_transpose(cn)
+    dual, det_c = integer_inverse(cn_tr, c)  # C^-tr = dual / det_c
+    scale = math.sqrt(abs(det_c) / c ** len(cn))
+    # sheared coordinates u = C^tr x: tiling lattice G Z^d, G = gn / g, packing lattice Z^d
+    g = c * t
+    offsets, basis = _stack_pieces(mat_mul(cn_tr, tn), g, piece_limit)
+    # pieces go to x as P v, with P = C^-tr basis / g = shape_num / den
+    shape_num, den = mat_mul(dual, basis), det_c * g
+    if den < 0:
+        shape_num, den = [[-x for x in row] for row in shape_num], -den
     return PiecewiseBoxWindow(
         scale=scale,
-        shape=tuple(tuple(row) for row in shape),
+        shape=tuple(tuple(Fraction(x, den) for x in row) for row in shape_num),
         offsets=tuple(tuple(Fraction(x, den) for x in mat_vec(shape_num, v)) for v in offsets),
     )
 
 
-def _stack_pieces(g, piece_limit: int):
-    """Integer piece offsets v and the cell basis (u coordinates) they refer to."""
-    d = len(g)
-    if cell_packs(g):
-        return [[0] * d], g
+def _stack_pieces(gn, g: int, piece_limit: int):
+    """Integer piece offsets v and the cell basis numerators (over g, u
+    coordinates) they refer to, for the tiling lattice G = gn / g."""
+    d = len(gn)
+    if cell_packs(gn, g):
+        return [[0] * d], gn
 
-    w = lattice_sum_basis(g)  # basis of S = G Z^d + Z^d
-    w_inv = mat_inv(w)
-    # in v = W^-1 u the tiling lattice is t_mat Z^d, the packing lattice W^-1 Z^d
-    t_mat = integer_matrix(mat_mul(w_inv, g))
-    det_t = int(mat_det(t_mat))
+    w = lattice_sum_basis(gn, g)  # S = G Z^d + Z^d = (W / g) Z^d
+    adj_w, det_w = adjugate(w), mat_det(w)
+    # in v = (W / g)^-1 u the tiling lattice is t_mat Z^d, the packing lattice g W^-1 Z^d
+    t_mat = divide_exact(mat_mul(adj_w, gn), det_w)
+    det_t = mat_det(t_mat)
     if abs(det_t) > piece_limit:
         raise PieceOverflowError(
             f"stacking needs {abs(det_t)} pieces, over the budget of {piece_limit}"
         )
-    adj_t = integer_matrix([[x * det_t for x in row] for row in mat_inv(t_mat)])
-    packing = hnf_columns(integer_matrix(w_inv))
+    adj_t = adjugate(t_mat)
+    packing = hnf_columns(divide_exact([[g * x for x in row] for row in adj_w], det_w))
     h = hnf_columns(t_mat)
+    shells = _shells(d)
+    steps: list[list[int]] = []  # t_mat m for the shells the search has reached
     used: set = set()
     offsets: list[list[int]] = []
     # transversal of S / G Z^d through digits of the triangular form
     for digits in product(*[range(h[i][i]) for i in range(d)]):
         # bring the representative near the origin; its class mod G Z^d is unchanged
-        shift = [sum(a * x for a, x in zip(row, digits)) // det_t for row in adj_t]
-        point = [x - sum(t * s for t, s in zip(row, shift)) for x, row in zip(digits, t_mat)]
-        for m in _shells(d):
-            cand = [p + sum(t * k for t, k in zip(row, m)) for p, row in zip(point, t_mat)]
+        shift = [sum(map(mul, row, digits)) // det_t for row in adj_t]
+        point = [x - sum(map(mul, row, shift)) for x, row in zip(digits, t_mat)]
+        for i, m in enumerate(shells):
+            if i == len(steps):
+                steps.append(mat_vec(t_mat, m))
+            cand = list(map(add, point, steps[i]))
             key = residue(cand, packing)
             if key not in used:
                 used.add(key)
@@ -179,12 +208,12 @@ def _stack_pieces(g, piece_limit: int):
     return offsets, w
 
 
-def _shells(d: int):
-    """Integer vectors by growing sup-norm radius, up to SEARCH_RADIUS."""
-    for radius in range(SEARCH_RADIUS + 1):
-        for m in product(range(-radius, radius + 1), repeat=d):
-            if max(map(abs, m)) == radius:
-                yield m
+@cache
+def _shells(d: int) -> tuple[tuple[int, ...], ...]:
+    """Integer vectors by growing sup-norm radius, up to SEARCH_RADIUS; a
+    constant of d, built on first use."""
+    cube = product(range(-SEARCH_RADIUS, SEARCH_RADIUS + 1), repeat=d)
+    return tuple(sorted(cube, key=lambda m: max(map(abs, m))))  # stable: lexicographic per shell
 
 
 @dataclass(frozen=True)

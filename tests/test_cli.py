@@ -541,6 +541,20 @@ class TestMainEntry:
         assert "Traceback" not in captured.err
         assert json.loads(captured.out)["error"]["field"] == "lattice"
 
+    def test_main_design_cancelling_densities_out_of_range_exit_3(self, tmp_path, capsys):
+        # prod(b q) = 1 is in range, but prod(b) = 10**400 is not, and the
+        # basis check would turn about prod(a) prod(b) into a float
+        doc = json.loads(fixture_path("heisenberg.json").read_text())
+        doc["spectrum"]["a"] = ["3"]
+        doc["lattice"] = {"q": [f"1/{10**400}"], "b": [str(10**400)]}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["design", "--config", str(cfg)])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["error"]["field"] == "lattice"
+
     def test_main_examples_single(self, capsys):
         code = main(["examples", "--example", "1"])
         assert code == EXIT_PASS

@@ -14,7 +14,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from nilframe.algebra import basis_vector, bracket, load_spec, validate_class
-from nilframe.cli import fixture_path, main
+from nilframe.cli import canonical_json, fixture_path, main
 from nilframe.config import parse_config
 from nilframe.errors import PieceOverflowError, SchemaError
 from nilframe.lattice import (
@@ -284,3 +284,60 @@ def test_main_exits_with_a_structured_code(command, config, flags):
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     json.loads(out.getvalue())  # one JSON document, the report or an error block
+
+
+def _stdlib_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _text_or_error(write, doc):
+    try:
+        return write(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+# leaves the writer must print as json does: non-ASCII and control
+# characters, big integers, signed zero, the subnormal and near-overflow ends
+_writer_leaves = (
+    st.text()
+    | st.text(alphabet="\x00\x1f\x7f\"\\\u00e9\u2028\U0001f600 a")
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, 1e16, 1e-7])
+    | st.none()
+)
+# one key type per dictionary (str, or the mutually ordered numbers and
+# bools, or None); a mix that sorting cannot order raises TypeError in both
+_writer_keys = st.sampled_from(
+    [
+        st.text(max_size=4),
+        st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.booleans(),
+        st.none(),
+        st.text(max_size=2) | st.integers(-3, 3),
+    ]
+)
+_writer_trees = st.recursive(
+    _writer_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | _writer_keys.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_writer_trees)
+def test_canonical_json_is_the_stdlib_text(doc):
+    assert _text_or_error(canonical_json, doc) == _text_or_error(_stdlib_json, doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("place", ["value", "list", "dict value", "key"])
+def test_canonical_json_rejects_non_finite_floats(bad, place):
+    doc = {"value": bad, "list": [1, [bad]], "dict value": {"a": {"b": bad}}, "key": {bad: 1}}[place]
+    for write in (canonical_json, _stdlib_json):
+        with pytest.raises(ValueError):
+            write(doc)
