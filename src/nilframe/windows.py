@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import add, mul
 from typing import Sequence
 
@@ -183,8 +183,10 @@ def _stack_pieces(gn, g: int, piece_limit: int):
     adj_t = adjugate(t_mat)
     packing = hnf_columns(divide_exact([[g * x for x in row] for row in adj_w], det_w))
     h = hnf_columns(t_mat)
-    shells = _shells(d)
-    steps: list[list[int]] = []  # t_mat m for the shells the search has reached
+    # G-steps t_mat m over the shells, each computed once and only when the
+    # search first reaches it: the steps so far, then the rest of the shells
+    steps: list[list[int]] = []
+    new_steps = (steps.append(s) or s for s in (mat_vec(t_mat, m) for m in _shells(d)))
     used: set = set()
     offsets: list[list[int]] = []
     # transversal of S / G Z^d through digits of the triangular form
@@ -192,10 +194,8 @@ def _stack_pieces(gn, g: int, piece_limit: int):
         # bring the representative near the origin; its class mod G Z^d is unchanged
         shift = [sum(map(mul, row, digits)) // det_t for row in adj_t]
         point = [x - sum(map(mul, row, shift)) for x, row in zip(digits, t_mat)]
-        for i, m in enumerate(shells):
-            if i == len(steps):
-                steps.append(mat_vec(t_mat, m))
-            cand = list(map(add, point, steps[i]))
+        for step in chain(steps, new_steps):
+            cand = list(map(add, point, step))
             key = residue(cand, packing)
             if key not in used:
                 used.add(key)
@@ -208,12 +208,12 @@ def _stack_pieces(gn, g: int, piece_limit: int):
     return offsets, w
 
 
-@cache
-def _shells(d: int) -> tuple[tuple[int, ...], ...]:
-    """Integer vectors by growing sup-norm radius, up to SEARCH_RADIUS; a
-    constant of d, built on first use."""
-    cube = product(range(-SEARCH_RADIUS, SEARCH_RADIUS + 1), repeat=d)
-    return tuple(sorted(cube, key=lambda m: max(map(abs, m))))  # stable: lexicographic per shell
+def _shells(d: int):
+    """Integer vectors by growing sup-norm radius, up to SEARCH_RADIUS."""
+    for radius in range(SEARCH_RADIUS + 1):
+        for m in product(range(-radius, radius + 1), repeat=d):
+            if max(map(abs, m)) == radius:
+                yield m
 
 
 @dataclass(frozen=True)
