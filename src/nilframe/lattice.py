@@ -226,14 +226,14 @@ def design_params(
         a=tuple(box.a), q=tuple(q) if q is not None else (Fraction(1),) * d, b=tuple(b)
     )
     # the report prints q, b, prod(b q) and the covolume as rationals, and
-    # prod(b q), the covolume and the volume ratio as floats; the basis
-    # check divides by prod(b) and prints a q of about 1/prod(q) as floats
+    # prod(b q), the covolume and the volume ratio as floats; prod(b) and
+    # prod(q) are checked on their own too, since prod(b q) can cancel a
+    # factor past the range that the basis check divides by
     limit = sys.get_int_max_str_digits()  # 0: no limit
     cap = 10**limit if limit else math.inf
     for x in (*params.q, *params.b, params.prod_bq, params.covolume):
         if max(x.numerator, x.denominator) >= cap:
             raise SchemaError("lattice", f"a density needs more than {limit} decimal digits")
-    lo, hi = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
     for name, x in (
         ("prod(b)", params.prod_b),
         ("prod(q)", params.prod_q),
@@ -241,9 +241,15 @@ def design_params(
         ("prod(a b q)", params.covolume),
         ("sup r(lam) / prod(b q)", sup.upper / params.prod_bq),
     ):
-        if not lo <= x <= hi:
-            raise SchemaError("lattice", f"{name} lies outside the float range")
+        _check_float_range(name, x)
     return params
+
+
+def _check_float_range(name: str, x: Fraction) -> None:
+    """A value the report prints as a float must lie in the normal binary64
+    range; outside it the lattice densities are an input error."""
+    if not Fraction(sys.float_info.min) <= x <= Fraction(sys.float_info.max):
+        raise SchemaError("lattice", f"{name} lies outside the float range")
 
 
 def check_onb_condition(
@@ -253,7 +259,8 @@ def check_onb_condition(
     """Basis criterion: the spectral measure of the box must equal
     prod(a) * prod(q b).  On failure, reports the uniform q that would close
     the equality with everything else held fixed, and whether that q is
-    compatible with the density condition."""
+    compatible with the density condition; a q whose prod(1/q) lies outside
+    the float range is an input error on ``lattice``."""
     target = params.covolume
     mu_lo, mu_hi, mu_val = mu_box.lower, mu_box.upper, mu_box.value
     tol_f = Fraction(str(BASIS_TOL))
@@ -274,6 +281,7 @@ def check_onb_condition(
         # exact d-th root detection keeps simple cases like 1/2 exact
         margins["required_uniform_q"] = format_rational(required_q)
         inv_prod = (Fraction(1) / required_q) ** d
+        _check_float_range("prod(1/q) of the uniform q", inv_prod)
         density_compatible = inv_prod <= 1
         margins["required_q_density_compatible"] = density_compatible
         margins["required_q_inverse_product"] = float(inv_prod)

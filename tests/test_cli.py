@@ -541,12 +541,18 @@ class TestMainEntry:
         assert "Traceback" not in captured.err
         assert json.loads(captured.out)["error"]["field"] == "lattice"
 
-    def test_main_design_cancelling_densities_out_of_range_exit_3(self, tmp_path, capsys):
-        # prod(b q) = 1 is in range, but prod(b) = 10**400 is not, and the
-        # basis check would turn about prod(a) prod(b) into a float
+    @pytest.mark.parametrize(
+        "a, q, b",
+        [("3", f"1/{10**400}", str(10**400)), (f"1/{10**10}", f"1/{10**300}", str(10**307))],
+        ids=["b-1e400-q-1e-400", "a-1e-10-b-1e307"],
+    )
+    def test_main_design_cancelling_densities_out_of_range_exit_3(self, tmp_path, capsys, a, q, b):
+        # prod(b q) is in range, but the basis check turns about
+        # prod(a) prod(b) / measure into a float: prod(b) = 10**400 is past
+        # the float range, and so is 2 10**317 for a = 10**-10, b = 10**307
         doc = json.loads(fixture_path("heisenberg.json").read_text())
-        doc["spectrum"]["a"] = ["3"]
-        doc["lattice"] = {"q": [f"1/{10**400}"], "b": [str(10**400)]}
+        doc["spectrum"]["a"] = [a]
+        doc["lattice"] = {"q": [q], "b": [b]}
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
         code = main(["design", "--config", str(cfg)])
