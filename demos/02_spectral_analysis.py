@@ -62,7 +62,7 @@ print(f"   bracket width {float(mu.width):.2e}, {mu.certificate.boxes} boxes, "
 assert mu.lower <= Fraction(46, 3) <= mu.upper
 
 # sublevel query: spectral mass where the density stays at most 4
-sub = spectral_measure(det_b, box, tol=1e-3, threshold=Fraction(4), strict=False)
+sub = spectral_measure(det_b, box, tol=1e-3, threshold=Fraction(4))
 print(f"\nmass of the sublevel region (density <= 4): [{float(sub.lower):.6f}, "
       f"{float(sub.upper):.6f}]")
 print("   witness sub-box inside the region:", sub.witness_box is not None)

@@ -65,6 +65,10 @@ EXIT_CERTIFICATION = 4
 
 COMMANDS = ("validate", "analyze", "design", "synthesize", "verify", "examples")
 
+# frame-energy test fields per verify run: field i centres its spectral bump
+# at (45 + 7i) % of each axis of the spectrum box
+TEST_FIELDS = 3
+
 
 # ---------------------------------------------------------------------------
 # pipeline stages
@@ -129,8 +133,6 @@ def _stage_synthesize(
         grid_shape=config.verification.lam_grid,
         role="frame",
         predicted_norm_sq=report["design"]["predicted_generator_norm_sq"],
-        eps_degenerate=config.spectrum.eps_degenerate,
-        piece_limit=config.verification.piece_limit,
     )
     doc = field_to_document(field)
     target = out_path or config.output.field_path
@@ -180,7 +182,7 @@ def _stage_verify(config: ConfigDocument, report: dict, field: FrameGeneratorFie
     ratios = []
     (lo, hi), = field.box.region()
     lam_widths = [0.1 * float(h - l) for l, h in zip(lo, hi)]
-    for i in range(ver.test_fields):
+    for i in range(TEST_FIELDS):
         lam_center = [float(l + (h - l) * Fraction(45 + 7 * i, 100)) for l, h in zip(lo, hi)]
         psi = make_test_field(
             field,
@@ -360,7 +362,7 @@ def run_command(
         except NilframeError as exc:
             report["error"], code = error_exit(exc)
         report["status"] = "pass" if code == EXIT_PASS else "fail"
-    if timing or (config is not None and config.output.timing):
+    if timing:
         report["timing"] = {"seconds": time.monotonic() - t0}
     return report, code
 

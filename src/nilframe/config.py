@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .algebra import LieAlgebraSpec, load_spec
 from .errors import SchemaError
-from .rationals import parse_rational, parse_rational_vector
+from .rationals import parse_rational_vector
 from .spectral import SpectrumBox, certified_tol
 
 
@@ -25,7 +25,6 @@ class SpectrumConfig:
     sup_tol: float
     measure_tol: float
     sublevel_tol: float
-    eps_degenerate: float
 
 
 @dataclass(frozen=True)
@@ -49,15 +48,12 @@ class VerificationConfig:
     n_half: tuple[int, ...]
     ratio_tol: float
     defect_tol: float
-    test_fields: int
-    piece_limit: int
 
 
 @dataclass(frozen=True)
 class OutputConfig:
     field_path: str | None
     csv_path: str | None
-    timing: bool
 
 
 @dataclass(frozen=True)
@@ -149,7 +145,7 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
     algebra = load_spec(doc["algebra"], label=str(doc.get("label", "")))
 
     spectrum_raw = _section(
-        doc, "spectrum", {"a", "sub_boxes", "sup_tol", "measure_tol", "sublevel_tol", "eps_degenerate"}
+        doc, "spectrum", {"a", "sub_boxes", "sup_tol", "measure_tol", "sublevel_tol"}
     )
     if "a" not in spectrum_raw:
         raise SchemaError("spectrum.a", "missing")
@@ -170,7 +166,6 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
         sup_tol=_get_tol(spectrum_raw, "sup_tol", 1e-9, "spectrum"),
         measure_tol=_get_tol(spectrum_raw, "measure_tol", 1e-9, "spectrum"),
         sublevel_tol=_get_tol(spectrum_raw, "sublevel_tol", 5e-2, "spectrum"),
-        eps_degenerate=_get_float(spectrum_raw, "eps_degenerate", 1e-12, "spectrum"),
     )
 
     lattice_raw = _section(doc, "lattice", {"q", "b", "onb_requested", "precision_digits"})
@@ -205,16 +200,8 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
             "n_half",
             "ratio_tol",
             "defect_tol",
-            "test_fields",
-            "piece_limit",
         },
     )
-    test_fields = verification_raw.get("test_fields", 3)
-    if not isinstance(test_fields, int) or isinstance(test_fields, bool) or test_fields < 1:
-        raise SchemaError("verification.test_fields", "expected a positive integer")
-    piece_limit = verification_raw.get("piece_limit", 4096)
-    if not isinstance(piece_limit, int) or isinstance(piece_limit, bool) or piece_limit < 1:
-        raise SchemaError("verification.piece_limit", "expected a positive integer")
     v, d = algebra.center_dim, algebra.d
     kn = 16 if d == 1 else 4  # the k, n range grows as (2 kn + 1)^(2d)
     verification = VerificationConfig(
@@ -227,18 +214,12 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
         n_half=_get_int_vector(verification_raw, "n_half", "verification", d, kn),
         ratio_tol=_get_float(verification_raw, "ratio_tol", 1e-2, "verification"),
         defect_tol=_get_float(verification_raw, "defect_tol", 1e-3, "verification"),
-        test_fields=test_fields,
-        piece_limit=piece_limit,
     )
 
-    output_raw = _section(doc, "output", {"field_path", "csv_path", "timing"})
-    timing = output_raw.get("timing", False)
-    if not isinstance(timing, bool):
-        raise SchemaError("output.timing", "expected a boolean")
+    output_raw = _section(doc, "output", {"field_path", "csv_path"})
     output = OutputConfig(
         field_path=_get_path(output_raw, "field_path", "output"),
         csv_path=_get_path(output_raw, "csv_path", "output"),
-        timing=timing,
     )
     return ConfigDocument(
         algebra=algebra,

@@ -89,14 +89,6 @@ class FiberGaborLattice:
     def d(self) -> int:
         return len(self.translation)
 
-    def as_dict(self) -> dict:
-        return {
-            "lam": [format_rational(x) for x in self.lam],
-            "translation": [[format_rational(x) for x in row] for row in self.translation],
-            "modulation": [[format_rational(x) for x in row] for row in self.modulation],
-            "volume": format_rational(self.volume),
-        }
-
 
 def fiber_lattice(
     spec: LieAlgebraSpec,
@@ -425,7 +417,6 @@ def check_wavelet_discretization(
         tol=measure_tol,
         threshold=params.prod_bq,
         max_boxes=SUBLEVEL_MAX_BOXES,
-        strict=False,
     )
     nonempty = sub.witness_box is not None and sub.lower > 0
     basis_ok = abs(sub.value - 1.0) <= BASIS_TOL and float(sub.width) <= BASIS_TOL

@@ -189,18 +189,6 @@ class SpectralPolynomial:
             total += term
         return total
 
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        if len(point) != self.nvars:
-            raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
-        total = 0.0
-        for mono, coef in self.terms.items():
-            term = float(coef)
-            for x, e in zip(point, mono):
-                if e:
-                    term *= float(x) ** e
-            total += term
-        return total
-
     def substitute_affine(self, offsets: Sequence, scales: Sequence) -> "SpectralPolynomial":
         """Polynomial q(t) = p(offset + scale * t), componentwise."""
         if len(offsets) != self.nvars or len(scales) != self.nvars:

@@ -72,7 +72,7 @@ def _int_nth_root_floor(n: int, d: int) -> int:
         r = s
 
 
-def ceil_nth_root(x: Fraction, d: int, digits: int = 12) -> Fraction:
+def ceil_nth_root(x: Fraction, d: int, digits: int) -> Fraction:
     """Smallest representable rational r >= x**(1/d).
 
     Returns the exact root when ``x`` is a perfect d-th power of a rational;

@@ -173,11 +173,8 @@ class SpectrumBox:
 
 
 def eval_density(det_b: SpectralPolynomial, point: Sequence):
-    """|det_b| at a point; exact for rational input, binary64 for float input."""
-    if len(point) != det_b.nvars:
-        raise ValueError(f"point has length {len(point)}, expected {det_b.nvars}")
-    if any(isinstance(x, float) for x in point):
-        return abs(det_b.evaluate_float([float(x) for x in point]))
+    """|det_b| at a point, exactly: a float coordinate is read as its exact
+    binary64 value."""
     return abs(det_b.evaluate(point))
 
 
@@ -656,7 +653,6 @@ def spectral_measure(
     tol: float,
     threshold: Fraction | None = None,
     max_boxes: int = 4_000_000,
-    strict: bool = True,
 ) -> MeasureResult:
     """Integral of |det_b| over the region, certified by adaptive subdivision.
 
@@ -684,9 +680,9 @@ def spectral_measure(
     (second-order brackets rounded outward onto the dyadic grid of the next
     depth), and become one Fraction per region at the end, so float rounding
     can never corrupt the certificate; ``converged`` compares that exact
-    width with tol.  On budget exhaustion the bracket is still valid;
-    ``strict`` controls whether that raises CertificationError or returns the
-    wide bracket.
+    width with tol.  On budget exhaustion the bracket is still valid: a
+    plain measure raises CertificationError, and a sublevel measure returns
+    the wide bracket with ``converged`` false.
     """
     tol_frac = certified_tol(tol)
     if tol_frac <= 0:
@@ -818,7 +814,7 @@ def spectral_measure(
         certificate=cert,
         witness_box=witness,
     )
-    if strict and not converged:
+    if threshold is None and not converged:
         raise CertificationError(
             f"measure not certified to {tol}: bracket width {float(upper - lower)}"
         )

@@ -374,9 +374,6 @@ class DefectReport:
     defect: float
     energy_ratios: tuple[float, ...]
 
-    def as_dict(self) -> dict:
-        return {"defect": self.defect, "energy_ratios": list(self.energy_ratios)}
-
 
 def fiber_parseval_defect(
     params: QuasiLatticeParams,

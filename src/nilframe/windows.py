@@ -128,9 +128,15 @@ class PiecewiseBoxWindow:
 
 # how many shells of G-translates cut-and-stack searches for a fresh residue
 SEARCH_RADIUS = 12
+# most pieces one window may stack before PieceOverflowError
+PIECE_LIMIT = 4096
+# a generator field skips a node whose float density is below this
+EPS_DEGENERATE = 1e-12
 
 
-def synthesize_window(lattice: FiberGaborLattice, piece_limit: int = 4096) -> PiecewiseBoxWindow:
+def synthesize_window(
+    lattice: FiberGaborLattice, piece_limit: int = PIECE_LIMIT
+) -> PiecewiseBoxWindow:
     """Painless Parseval window for one fiber; pieces and measure are exact.
 
     Raises DensityViolationError when the lattice volume exceeds one,
@@ -221,9 +227,6 @@ class WindowNormReport:
     passed: bool
     measured: float
     expected: float
-
-    def as_dict(self) -> dict:
-        return {"passed": self.passed, "measured": self.measured, "expected": self.expected}
 
 
 # float tolerance of the window norm re-check against the lattice volume
@@ -318,16 +321,16 @@ def build_generator_field(
     grid_shape: Sequence[int],
     role: str = "frame",
     predicted_norm_sq: float | None = None,
-    eps_degenerate: float = 1e-12,
-    piece_limit: int = 4096,
 ) -> FrameGeneratorField:
     """Synthesize one window per grid node and attach normalizations.
 
-    Degenerate nodes (density below eps) are skipped and recorded.  For the
-    wavelet role the covolume product must equal one exactly and the grid is
-    restricted to the sublevel region; every kept fiber vector then has unit
-    norm by construction (asserted).  ``predicted_norm_sq`` is carried as
-    given: the design stage's measure over the covolume.
+    Degenerate nodes (density below EPS_DEGENERATE) are skipped and
+    recorded; a window that needs more than PIECE_LIMIT pieces raises
+    PieceOverflowError.  For the wavelet role the covolume product must
+    equal one exactly and the grid is restricted to the sublevel region;
+    every kept fiber vector then has unit norm by construction (asserted).
+    ``predicted_norm_sq`` is carried as given: the design stage's measure
+    over the covolume.
     """
     if role not in ("frame", "wavelet"):
         raise SchemaError("role", f"unknown role {role!r}")
@@ -340,13 +343,13 @@ def build_generator_field(
     skipped: list[tuple[tuple[Fraction, ...], str]] = []
     for lam in product(*centered_grid(box, grid_shape)):
         lat = fiber_lattice(spec, params, lam)
-        if lat.det_b == 0 or abs(float(lat.det_b)) < eps_degenerate:
+        if lat.det_b == 0 or abs(float(lat.det_b)) < EPS_DEGENERATE:
             skipped.append((lam, "degenerate fiber"))
             continue
         if role == "wavelet" and lat.volume > 1:
             skipped.append((lam, "outside sublevel region"))
             continue
-        window = synthesize_window(lat, piece_limit=piece_limit)
+        window = synthesize_window(lat)
         normalization = 1.0 / math.sqrt(prod_a * abs(float(lat.det_b)))
         node = FieldNode(lam=lam, window=window, normalization=normalization, lattice=lat)
         if role == "wavelet":

@@ -685,6 +685,11 @@ MISSING = "missing/out.json"
         ("analyze", {}, ["--tol", "4e-19"], "spectrum.sup_tol"),
         ("analyze", {"spectrum": {"a": ["1" * 3000]}}, [], "spectrum.a"),
         ("analyze", {"spectrum": {"a": ["1" + "0" * 160]}}, [], "spectrum.a"),
+        # keys removed from the schema, set to their former defaults
+        ("validate", {"spectrum": {"eps_degenerate": 1e-12}}, [], "spectrum"),
+        ("validate", {"verification": {"test_fields": 3}}, [], "verification"),
+        ("validate", {"verification": {"piece_limit": 4096}}, [], "verification"),
+        ("validate", {"output": {"timing": False}}, [], "output"),
     ],
     ids=[
         "tol-nan",
@@ -708,6 +713,10 @@ MISSING = "missing/out.json"
         "tol-floor",
         "a-repunit",
         "a-1e160",
+        "removed-eps-degenerate",
+        "removed-test-fields",
+        "removed-piece-limit",
+        "removed-timing",
     ],
 )
 def test_config_and_output_errors_exit_3(tmp_path, command, edit, extra, field):

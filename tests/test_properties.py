@@ -229,7 +229,7 @@ def _slots(node, path=()):
 # the heisenberg fixture with every optional section present, so each can be replaced
 _FUZZ_BASE = json.loads(fixture_path("heisenberg.json").read_text())
 _FUZZ_BASE["spectrum"]["sub_boxes"] = [{"lo": ["0"], "hi": ["1/2"]}]
-_FUZZ_BASE["output"] = {"field_path": None, "csv_path": None, "timing": False}
+_FUZZ_BASE["output"] = {"field_path": None, "csv_path": None}
 
 _json_scalars = (
     st.none()

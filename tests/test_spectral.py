@@ -283,7 +283,7 @@ class TestSpectralMeasure:
         det_b = density_polynomial(example3)
         box = SpectrumBox(a=(Fraction(1), Fraction(1), Fraction(1)))
         res = spectral_measure(
-            det_b, box, tol=5e-2, threshold=Fraction(1), max_boxes=60_000, strict=False
+            det_b, box, tol=5e-2, threshold=Fraction(1), max_boxes=60_000
         )
         assert res.lower > 0
         assert res.witness_box is not None
@@ -296,8 +296,22 @@ class TestSpectralMeasure:
         det_b = density_polynomial(example2)
         box = SpectrumBox(a=(Fraction(2), Fraction(3)))
         plain = spectral_measure(det_b, box, tol=1e-6)
-        sub = spectral_measure(det_b, box, tol=1e-3, threshold=Fraction(4), strict=False)
+        sub = spectral_measure(det_b, box, tol=1e-3, threshold=Fraction(4))
         assert sub.upper <= plain.upper + Fraction(1, 1000)
+
+    @pytest.mark.parametrize("threshold", [None, Fraction(4)])
+    def test_budget_exhaustion(self, example2, threshold):
+        # ten boxes cannot close example2 to 1e-6: a plain measure raises, a
+        # sublevel measure returns its still valid wide bracket
+        det_b = density_polynomial(example2)
+        box = SpectrumBox(a=(Fraction(2), Fraction(3)))
+        if threshold is None:
+            with pytest.raises(CertificationError):
+                spectral_measure(det_b, box, 1e-6, threshold, max_boxes=10)
+        else:
+            res = spectral_measure(det_b, box, 1e-6, threshold, max_boxes=10)
+            assert not res.certificate.converged
+            assert res.lower <= res.upper
 
 
 def abs_integral(q0, q, half):
@@ -782,7 +796,7 @@ class TestGoldenCertificates:
                 ((Fraction(1), Fraction(1, 2)), (Fraction(2), Fraction(5, 2))),
             ),
         )
-        res = spectral_measure(det_b, box, tol=1e-2, threshold=Fraction(9, 2), strict=False)
+        res = spectral_measure(det_b, box, tol=1e-2, threshold=Fraction(9, 2))
         out = res.as_dict()
         assert out["lower"] == "168952644593818733/27021597764222976"
         assert out["upper"] == "56371490920467731/9007199254740992"
