@@ -173,8 +173,9 @@ class SpectrumBox:
 
 
 def eval_density(det_b: SpectralPolynomial, point: Sequence):
-    """|det_b| at a point, exactly: a float coordinate is read as its exact
-    binary64 value."""
+    """|det_b| at a point, exactly, as a Fraction: a float coordinate is read
+    as its exact binary64 value, and a NaN or infinite one raises ValueError
+    or OverflowError."""
     return abs(det_b.evaluate(point))
 
 
@@ -682,7 +683,8 @@ def spectral_measure(
     can never corrupt the certificate; ``converged`` compares that exact
     width with tol.  On budget exhaustion the bracket is still valid: a
     plain measure raises CertificationError, and a sublevel measure returns
-    the wide bracket with ``converged`` false.
+    the wide bracket with ``converged`` false, so a sublevel caller that
+    needs the tolerance met checks ``certificate.converged`` itself.
     """
     tol_frac = certified_tol(tol)
     if tol_frac <= 0:

@@ -126,6 +126,13 @@ class TestEvalDensity:
         det_b = density_polynomial(example2)
         assert eval_density(det_b, [0.0, 3.0]) == pytest.approx(9.0)
 
+    @pytest.mark.parametrize(
+        "x, error", [(float("nan"), ValueError), (float("inf"), OverflowError)]
+    )
+    def test_non_finite_coordinate(self, example2, x, error):
+        with pytest.raises(error):
+            eval_density(density_polynomial(example2), [0.0, x])
+
     def test_dimension_mismatch(self, example2):
         with pytest.raises(ValueError):
             eval_density(density_polynomial(example2), [Fraction(1)])
@@ -725,6 +732,7 @@ class TestSublevelBracket:
         box = SpectrumBox(a=(Fraction(2), Fraction(3)))
         res = spectral_measure(det_b, box, tol=1e-3, threshold=threshold)
         assert res.lower <= Fraction(46, 3) <= res.upper
+        assert res.certificate.converged
 
     @pytest.mark.parametrize("threshold", [Fraction(2), Fraction(3)])
     def test_example3_threshold_at_or_above_sup(self, example3, threshold):
@@ -732,6 +740,7 @@ class TestSublevelBracket:
         box = SpectrumBox(a=(Fraction(1),) * 3)
         res = spectral_measure(det_b, box, tol=2e-2, threshold=threshold)
         assert res.lower <= Fraction(3, 8) <= res.upper
+        assert res.certificate.converged
 
     def test_first_order_box_counts_beaten(self, example3):
         # the first-order bracket took 12,527 boxes here; the sublevel band's
@@ -740,7 +749,7 @@ class TestSublevelBracket:
         res = spectral_measure(
             det_b, SpectrumBox(a=(Fraction(1),) * 3), tol=5e-2, threshold=Fraction(1)
         )
-        assert res.certificate.boxes <= 2000
+        assert res.certificate.boxes <= 2000 and res.certificate.converged
         assert res.lower > 0 and res.witness_box is not None
 
 
