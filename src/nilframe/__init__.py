@@ -37,7 +37,6 @@ from .spectral import (
 from .verify import (
     BandlimitedField,
     TruncationSpec,
-    apply_fiber_rep,
     fiber_parseval_defect,
     frame_energy_ratio,
     gram_orthonormality_check,
@@ -51,7 +50,6 @@ from .windows import (
     build_generator_field,
     field_to_document,
     synthesize_window,
-    window_norm_check,
 )
 
 __all__ = [
@@ -85,10 +83,8 @@ __all__ = [
     "build_generator_field",
     "field_to_document",
     "synthesize_window",
-    "window_norm_check",
     "BandlimitedField",
     "TruncationSpec",
-    "apply_fiber_rep",
     "fiber_parseval_defect",
     "frame_energy_ratio",
     "gram_orthonormality_check",

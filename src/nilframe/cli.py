@@ -12,7 +12,6 @@ report sections already computed beside the block.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -497,45 +496,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="path to a JSON config document")
     parser.add_argument("--out", help="write the report (or field for synthesize) here")
-    parser.add_argument("--tol", type=float, help="override sup/measure tolerances")
-    parser.add_argument("--grid", help="lambda-grid node counts, comma separated")
-    parser.add_argument("--trunc", help="truncation half-widths m,k,n")
     parser.add_argument("--example", type=int, choices=(1, 2, 3))
     parser.add_argument("--timing", action="store_true", help="include timing in the report")
     return parser
 
 
-def _int_list(text: str, field: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise SchemaError(field, f"expected comma-separated integers, got {text!r}") from None
-
-
-def _apply_overrides(config: ConfigDocument, args) -> ConfigDocument:
-    raw = dict(config.raw)
-    if args.tol is not None:
-        raw["spectrum"] = {**raw["spectrum"], "sup_tol": args.tol, "measure_tol": args.tol}
-    verification = dict(raw.get("verification", {}))
-    if args.grid:
-        verification["lam_grid"] = _int_list(args.grid, "grid")
-    if args.trunc:
-        parts = _int_list(args.trunc, "trunc")
-        if len(parts) != 3:
-            raise SchemaError("trunc", "expected three integers m,k,n")
-        v, d = config.algebra.center_dim, config.algebra.d
-        verification.update(m_half=[parts[0]] * v, k_half=[parts[1]] * d, n_half=[parts[2]] * d)
-    if args.grid or args.trunc:
-        raw["verification"] = verification
-    return parse_config(raw) if raw != config.raw else config
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = None
-        if args.config and args.command != "examples":
-            config = _apply_overrides(parse_config(args.config), args)
+        config = parse_config(args.config) if args.config and args.command != "examples" else None
         report, code = run_command(
             args.command,
             config,

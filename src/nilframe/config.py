@@ -122,7 +122,7 @@ def _get_int_vector(obj: Mapping, key: str, path: str, length: int, fill: int) -
 
 
 def parse_config(source: str | Path | Mapping) -> ConfigDocument:
-    """Load and validate a config document from a path, JSON text, or mapping."""
+    """Load and validate a config document from a path or a mapping."""
     if isinstance(source, Mapping):
         doc = dict(source)
     else:

@@ -40,7 +40,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
-from .algebra import LieAlgebraSpec
 from .errors import MisalignedGridError, SchemaError
 from .intlattice import (
     cell_packs,
@@ -53,7 +52,7 @@ from .intlattice import (
     mat_vec,
     residue,
 )
-from .lattice import FiberGaborLattice, QuasiLatticeParams, fiber_lattice
+from .lattice import FiberGaborLattice, QuasiLatticeParams
 from .rationals import format_rational, format_rational_vector
 from .windows import FieldNode, FrameGeneratorField, PiecewiseBoxWindow
 
@@ -211,12 +210,6 @@ class BandlimitedField:
             total += float(np.sum(np.abs(arr) ** 2)) * xcell * node.density * lam_cell
         return total
 
-    def scaled(self, factor: complex) -> "BandlimitedField":
-        return BandlimitedField(
-            x_grid=self.x_grid,
-            values={lam: factor * arr for lam, arr in self.values.items()},
-        )
-
 
 def make_test_field(
     generator: FrameGeneratorField,
@@ -271,33 +264,6 @@ def sample_window(window: PiecewiseBoxWindow, axes: Sequence[np.ndarray]) -> np.
         inside = np.all((t >= 0.0) & (t < 1.0), axis=0)
         out |= inside
     return out.reshape(mesh[0].shape).astype(float)
-
-
-def apply_fiber_rep(
-    spec: LieAlgebraSpec,
-    params: QuasiLatticeParams,
-    lam: Sequence[Fraction],
-    gamma: tuple[Sequence[int], Sequence[int]],
-    values: np.ndarray,
-    x_grid: XGrid,
-) -> np.ndarray:
-    """Reduced-lattice action on sampled functions: modulate then translate.
-
-    Samples shifted in from outside the grid are zero.  The translation must
-    land on whole grid steps; anything else raises MisalignedGridError.
-    """
-    k_vec, n_vec = gamma
-    d = spec.d
-    if len(k_vec) != d or len(n_vec) != d:
-        raise ValueError("gamma has wrong dimension")
-    shifted = _shift_with_zeros(values, x_grid.shift_steps(n_vec, params.b))
-    if any(k != 0 for k in k_vec):
-        mod = fiber_lattice(spec, params, lam).modulation
-        for axis, table in enumerate(_phase_tables(mod, [k_vec], x_grid.axes())):
-            shape = [1] * d
-            shape[axis] = -1
-            shifted = shifted * np.conj(table[0]).reshape(shape)
-    return shifted
 
 
 def _shift_with_zeros(arr: np.ndarray, steps: tuple[int, ...]) -> np.ndarray:

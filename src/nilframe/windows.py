@@ -222,26 +222,6 @@ def _shells(d: int):
                 yield m
 
 
-@dataclass(frozen=True)
-class WindowNormReport:
-    passed: bool
-    measured: float
-    expected: float
-
-
-# float tolerance of the window norm re-check against the lattice volume
-NORM_TOL = 1e-9
-
-
-def window_norm_check(window: PiecewiseBoxWindow, lattice: FiberGaborLattice) -> WindowNormReport:
-    """Parseval windows must satisfy norm^2 = lattice volume."""
-    measured = window.norm_sq
-    expected = float(lattice.volume)
-    return WindowNormReport(
-        passed=abs(measured - expected) <= NORM_TOL, measured=measured, expected=expected
-    )
-
-
 # ---------------------------------------------------------------------------
 # generator fields
 # ---------------------------------------------------------------------------
@@ -343,7 +323,7 @@ def build_generator_field(
     skipped: list[tuple[tuple[Fraction, ...], str]] = []
     for lam in product(*centered_grid(box, grid_shape)):
         lat = fiber_lattice(spec, params, lam)
-        if lat.det_b == 0 or abs(float(lat.det_b)) < EPS_DEGENERATE:
+        if abs(float(lat.det_b)) < EPS_DEGENERATE:
             skipped.append((lam, "degenerate fiber"))
             continue
         if role == "wavelet" and lat.volume > 1:

@@ -440,9 +440,12 @@ class TestMainEntry:
         assert json.loads(out.read_text())["command"] == "analyze"
 
     def test_main_trunc_override(self, tmp_path, capsys):
+        # the truncation half-widths are set in the config, the one source
+        doc = desk_config_doc()
+        doc["verification"].update(m_half=[0], k_half=[0], n_half=[0])
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(desk_config_doc()))
-        code = main(["verify", "--config", str(cfg), "--trunc", "0,0,0"])
+        cfg.write_text(json.dumps(doc))
+        code = main(["verify", "--config", str(cfg)])
         assert code == EXIT_CONDITION
 
     def test_main_verify_without_usable_nodes_exit_3(self, tmp_path, capsys):
@@ -487,14 +490,6 @@ class TestMainEntry:
         assert report["error"]["type"] == "schema"
         assert report["error"]["field"] == "verify"
         assert report["status"] == "fail"
-
-    @pytest.mark.parametrize("flag, value", [("--grid", "4,x"), ("--trunc", "1,x,2")])
-    def test_main_non_integer_override_exit_3(self, tmp_path, capsys, flag, value):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(desk_config_doc()))
-        code = main(["analyze", "--config", str(cfg), flag, value])
-        assert code == EXIT_INPUT
-        assert json.loads(capsys.readouterr().out)["error"]["field"] == flag[2:]
 
     def test_main_b_without_q_fixes_the_lattice(self, tmp_path, capsys):
         # b = 1/2 alone is kept (q = 1) and fails the density condition
@@ -571,12 +566,15 @@ class TestMainEntry:
         "argv, field",
         [
             (["analyze"], "config"),
-            (["analyze", "--config", HEISENBERG, "--tol", "abc"], "argv"),
             (["frobnicate"], "argv"),
             (["examples", "--example", "7"], "argv"),
             (["validate", "--config", HEISENBERG, "--bogus"], "argv"),
+            # the config is the one source of tolerances, grid and truncations
+            (["analyze", "--config", HEISENBERG, "--tol", "1e-6"], "argv"),
+            (["analyze", "--config", HEISENBERG, "--grid", "4"], "argv"),
+            (["analyze", "--config", HEISENBERG, "--trunc", "0,0,0"], "argv"),
         ],
-        ids=["no-config", "tol-abc", "unknown-command", "example-7", "unknown-flag"],
+        ids=["no-config", "unknown-command", "example-7", "unknown-flag", "tol", "grid", "trunc"],
     )
     def test_main_usage_error_exit_3(self, capsys, argv, field):
         code = main(argv)
@@ -661,9 +659,10 @@ MISSING = "missing/out.json"
 @pytest.mark.parametrize(
     "command, edit, extra, field",
     [
-        ("verify", {}, ["--tol", "nan"], "spectrum.sup_tol"),
-        ("verify", {}, ["--tol", "inf"], "spectrum.sup_tol"),
-        ("verify", {}, ["--tol", "1e400"], "spectrum.sup_tol"),
+        # NaN, infinity and an integer literal past the float range
+        ("verify", {"spectrum": {"sup_tol": math.nan}}, [], "spectrum.sup_tol"),
+        ("verify", {"spectrum": {"sup_tol": math.inf}}, [], "spectrum.sup_tol"),
+        ("verify", {"spectrum": {"sup_tol": 10**400}}, [], "spectrum.sup_tol"),
         ("verify", {"verification": {"ratio_tol": math.nan}}, [], "verification.ratio_tol"),
         ("validate", {"output": 5}, [], "output"),
         ("validate", {"verification": []}, [], "verification"),
@@ -682,7 +681,8 @@ MISSING = "missing/out.json"
                                                {"lo": ["1/4"], "hi": ["1"]}]}}, [],
          "spectrum.sub_boxes"),
         ("analyze", {"spectrum": {"measure_tol": 1e-300}}, [], "spectrum.measure_tol"),
-        ("analyze", {}, ["--tol", "4e-19"], "spectrum.sup_tol"),
+        ("analyze", {"spectrum": {"sup_tol": 4e-19}}, [], "spectrum.sup_tol"),
+        ("analyze", {"verification": {"lam_grid": ["x"]}}, [], "verification.lam_grid"),
         ("analyze", {"spectrum": {"a": ["1" * 3000]}}, [], "spectrum.a"),
         ("analyze", {"spectrum": {"a": ["1" + "0" * 160]}}, [], "spectrum.a"),
         # keys removed from the schema, set to their former defaults
@@ -711,6 +711,7 @@ MISSING = "missing/out.json"
         "sub-boxes-overlap",
         "measure-tol-floor",
         "tol-floor",
+        "lam-grid-x",
         "a-repunit",
         "a-1e160",
         "removed-eps-degenerate",

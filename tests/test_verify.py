@@ -18,7 +18,6 @@ from nilframe.verify import (
     _modulated_pairings,
     _phase_tables,
     _shift_with_zeros,
-    apply_fiber_rep,
     fiber_parseval_defect,
     frame_energy_ratio,
     gaussian_profile,
@@ -290,50 +289,6 @@ class TestGoldenOracle:
         assert rep.defect == pytest.approx(3.6813763149012857e-10, abs=1e-15)
 
 
-class TestApplyFiberRep:
-    def test_identity_element(self, heisenberg_module):
-        grid = desk_grid()
-        f = np.exp(-np.linspace(-2, 3, grid.counts[0]) ** 2)
-        out = apply_fiber_rep(heisenberg_module, desk_params(), (F(1, 2),), ((0,), (0,)), f, grid)
-        assert np.allclose(out, f)
-
-    def test_pure_translation_shifts_by_cell(self, heisenberg_module):
-        grid = desk_grid()
-        f = np.zeros(grid.counts[0])
-        f[100] = 1.0
-        out = apply_fiber_rep(heisenberg_module, desk_params(), (F(1, 2),), ((0,), (1,)), f, grid)
-        assert out[100 + grid.points_per_cell[0]] == 1.0
-        assert out[100] == 0.0
-
-    def test_zero_fill_from_outside(self, heisenberg_module):
-        grid = desk_grid()
-        f = np.ones(grid.counts[0])
-        out = apply_fiber_rep(heisenberg_module, desk_params(), (F(1, 2),), ((0,), (1,)), f, grid)
-        assert np.all(out[: grid.points_per_cell[0]] == 0.0)
-
-    def test_heisenberg_modulation_phase(self, heisenberg_module):
-        # k = 1, n = 0 multiplies by exp(-2 pi i lam x / q)
-        grid = desk_grid()
-        x = grid.axes()[0]
-        f = np.ones(grid.counts[0], dtype=complex)
-        lam = F(1, 2)
-        out = apply_fiber_rep(heisenberg_module, desk_params(), (lam,), ((1,), (0,)), f, grid)
-        expected = np.exp(-2j * np.pi * float(lam) * x)
-        assert np.allclose(out, expected)
-
-    def test_d2_modulation_matches_full_mesh_phase(self, example2):
-        params = QuasiLatticeParams(a=(F(2), F(3)), q=(F(1), F(1)), b=(F(3), F(3)))
-        lam = (F(1, 2), F(23, 8))
-        grid = make_aligned_grid((F(3), F(3)), [1, 1], [2, 2], [16, 16])
-        mesh = grid.mesh()
-        f = np.ones(grid.counts, dtype=complex)
-        out = apply_fiber_rep(example2, params, lam, ((1, -2), (0, 0)), f, grid)
-        node = make_node(example2, params, lam)
-        freq = np.array(node.lattice.modulation, dtype=float) @ np.array([1.0, -2.0])
-        expected = np.exp(2j * np.pi * (mesh[0] * freq[0] + mesh[1] * freq[1]))
-        assert np.max(np.abs(out - expected)) <= 1e-12
-
-
 class TestFiberParsevalDefect:
     def test_gaussian_defect_small_and_halving(self, heisenberg_module):
         node = make_node(heisenberg_module, desk_params(), (F(1, 2),))
@@ -372,11 +327,14 @@ class TestFiberParsevalDefect:
     def test_misaligned_grid_rejected(self, heisenberg_module):
         from nilframe.errors import MisalignedGridError
 
+        # a grid aligned for b = 1 cannot realize the 1/2 steps of b = 2
         grid = make_aligned_grid((F(1),), [2], [3], [52])
         other = QuasiLatticeParams(a=(F(1),), q=(F(1),), b=(F(2),))
+        node = make_node(heisenberg_module, other, (F(1, 2),))
         f = np.ones(grid.counts[0], dtype=complex)
+        t = TruncationSpec(m_half=(0,), k_half=(0,), n_half=(1,))
         with pytest.raises(MisalignedGridError):
-            apply_fiber_rep(heisenberg_module, other, (F(1, 2),), ((0,), (1,)), f, grid)
+            fiber_parseval_defect(other, node, [f], t, grid)
 
     def test_zero_test_function_rejected(self, heisenberg_module, desk_field):
         node = desk_field.nodes[0]
@@ -407,7 +365,9 @@ class TestFrameEnergyRatio:
     def test_scalar_invariance(self, heisenberg_module, desk_field, psi):
         trunc = TruncationSpec(m_half=(8,), k_half=(6,), n_half=(6,))
         base = frame_energy_ratio(psi, desk_field, trunc)
-        scaled = frame_energy_ratio(psi.scaled(2.5j - 1.0), desk_field, trunc)
+        values = {lam: (2.5j - 1.0) * arr for lam, arr in psi.values.items()}
+        scaled_psi = BandlimitedField(x_grid=psi.x_grid, values=values)
+        scaled = frame_energy_ratio(scaled_psi, desk_field, trunc)
         assert scaled.ratio == pytest.approx(base.ratio, rel=1e-12)
 
     def test_monotone_under_truncation_growth(self, heisenberg_module, desk_field, psi):
