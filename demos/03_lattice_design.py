@@ -12,7 +12,6 @@ from fractions import Fraction
 from nilframe import (
     QuasiLatticeParams,
     SpectrumBox,
-    StepMultiplicity,
     check_density_condition,
     check_necessary_bounds,
     check_onb_condition,
@@ -42,7 +41,7 @@ sup = sup_density(density_polynomial(six), box, tol=1e-9)
 params = design_params(six, box, sup, q=None, b=None, precision_digits=12)
 print("designed parameters:", params.as_dict())
 
-density = check_density_condition(six, params, box, sup, tol=1e-9)
+density = check_density_condition(params, sup)
 print("density condition:", "pass" if density.passed else "fail", "-", density.detail)
 
 lam = (Fraction(1, 2), Fraction(5, 2))
@@ -54,11 +53,13 @@ mu = spectral_measure(density_polynomial(six), box, tol=1e-7)
 onb = check_onb_condition(params, mu)
 print("\nbasis equality:", "pass" if onb.passed else "fail", "-", onb.detail)
 
-bounds = check_necessary_bounds(six, params, mu, StepMultiplicity.constant(box, 1), box)
+# multiplicity one on the whole box: the box's own sup and measure
+bounds = check_necessary_bounds(params, mu, [(sup, mu, 1)])
 for sub in bounds.sub_reports:
     print(f"   {sub.condition:28s} {'pass' if sub.passed else 'fail'}  {sub.detail}")
 
-wavelet = check_wavelet_discretization(six, params, box, measure_tol=1e-2)
+sublevel = spectral_measure(density_polynomial(six), box, tol=1e-2, threshold=params.prod_bq)
+wavelet = check_wavelet_discretization(params, sublevel)
 print("wavelet discretization:", "pass" if wavelet.passed else "fail", "-", wavelet.detail)
 
 # Heisenberg: the basis equality pins q = 1/2, but then 1/q = 2 > 1
@@ -68,8 +69,8 @@ a = Fraction(2)
 hp = QuasiLatticeParams(a=(a,), q=(Fraction(1),), b=(a,))
 hbox = SpectrumBox(a=(a,))
 hsup = sup_density(density_polynomial(heis), hbox, tol=1e-9)
-print("density at q=1:", check_density_condition(heis, hp, hbox, hsup, tol=1e-9).passed)
+print("density at q=1:", check_density_condition(hp, hsup).passed)
 onb = check_onb_condition(hp, spectral_measure(density_polynomial(heis), hbox, tol=1e-9))
 print("basis check:", onb.detail)
 bad = QuasiLatticeParams(a=(a,), q=(Fraction(1, 2),), b=(a,))
-print("density at the required q=1/2:", check_density_condition(heis, bad, hbox, hsup, tol=1e-9).passed)
+print("density at the required q=1/2:", check_density_condition(bad, hsup).passed)

@@ -16,7 +16,6 @@ from .lattice import (
     ConditionReport,
     FiberGaborLattice,
     QuasiLatticeParams,
-    StepMultiplicity,
     check_density_condition,
     check_necessary_bounds,
     check_onb_condition,
@@ -71,7 +70,6 @@ __all__ = [
     "ConditionReport",
     "FiberGaborLattice",
     "QuasiLatticeParams",
-    "StepMultiplicity",
     "check_density_condition",
     "check_necessary_bounds",
     "check_onb_condition",

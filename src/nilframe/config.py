@@ -46,8 +46,6 @@ class VerificationConfig:
     m_half: tuple[int, ...]
     k_half: tuple[int, ...]
     n_half: tuple[int, ...]
-    ratio_tol: float
-    defect_tol: float
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,9 @@ def _section(doc: Mapping, name: str, allowed: set[str]) -> Mapping:
     return obj
 
 
-def _get_float(obj: Mapping, key: str, default: float, path: str) -> float:
+def _get_tol(obj: Mapping, key: str, default: float, path: str) -> float:
+    """A certified tolerance: a positive finite number, positive also once
+    rounded to ``certified_tol``."""
     if key not in obj:
         return default
     v = obj[key]
@@ -89,12 +89,7 @@ def _get_float(obj: Mapping, key: str, default: float, path: str) -> float:
         raise SchemaError(f"{path}.{key}", f"expected a number, got {v!r}")
     if not 0 < v <= sys.float_info.max:
         raise SchemaError(f"{path}.{key}", f"must be a positive finite number, got {v!r}")
-    return float(v)
-
-
-def _get_tol(obj: Mapping, key: str, default: float, path: str) -> float:
-    """A certified tolerance: positive also once rounded to ``certified_tol``."""
-    v = _get_float(obj, key, default, path)
+    v = float(v)
     if not certified_tol(v):
         raise SchemaError(f"{path}.{key}", f"{v!r} rounds to 0 at denominator 10**18")
     return v
@@ -107,8 +102,11 @@ def _get_path(obj: Mapping, key: str, path: str) -> str | None:
     return v
 
 
-def _get_int_vector(obj: Mapping, key: str, path: str, length: int, fill: int) -> tuple[int, ...]:
-    """The integer list at ``key``, or ``fill`` repeated ``length`` times."""
+def _get_int_vector(
+    obj: Mapping, key: str, path: str, length: int, fill: int, least: int
+) -> tuple[int, ...]:
+    """The integer list at ``key``, every entry at least ``least``, or
+    ``fill`` repeated ``length`` times."""
     if key not in obj:
         return (fill,) * length
     v = obj[key]
@@ -118,6 +116,8 @@ def _get_int_vector(obj: Mapping, key: str, path: str, length: int, fill: int) -
         raise SchemaError(f"{path}.{key}", "expected a list of integers")
     if len(v) != length:
         raise SchemaError(f"{path}.{key}", f"expected {length} entries")
+    if any(x < least for x in v):
+        raise SchemaError(f"{path}.{key}", f"entries must be at least {least}")
     return tuple(v)
 
 
@@ -198,22 +198,18 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
             "m_half",
             "k_half",
             "n_half",
-            "ratio_tol",
-            "defect_tol",
         },
     )
     v, d = algebra.center_dim, algebra.d
     kn = 16 if d == 1 else 4  # the k, n range grows as (2 kn + 1)^(2d)
     verification = VerificationConfig(
-        lam_grid=_get_int_vector(verification_raw, "lam_grid", "verification", v, 16),
-        points_per_cell=_get_int_vector(verification_raw, "points_per_cell", "verification", d, 52),
-        cells_before=_get_int_vector(verification_raw, "cells_before", "verification", d, 2),
-        cells_after=_get_int_vector(verification_raw, "cells_after", "verification", d, 3),
-        m_half=_get_int_vector(verification_raw, "m_half", "verification", v, 32),
-        k_half=_get_int_vector(verification_raw, "k_half", "verification", d, kn),
-        n_half=_get_int_vector(verification_raw, "n_half", "verification", d, kn),
-        ratio_tol=_get_float(verification_raw, "ratio_tol", 1e-2, "verification"),
-        defect_tol=_get_float(verification_raw, "defect_tol", 1e-3, "verification"),
+        lam_grid=_get_int_vector(verification_raw, "lam_grid", "verification", v, 16, 1),
+        points_per_cell=_get_int_vector(verification_raw, "points_per_cell", "verification", d, 52, 1),
+        cells_before=_get_int_vector(verification_raw, "cells_before", "verification", d, 2, 0),
+        cells_after=_get_int_vector(verification_raw, "cells_after", "verification", d, 3, 1),
+        m_half=_get_int_vector(verification_raw, "m_half", "verification", v, 32, 0),
+        k_half=_get_int_vector(verification_raw, "k_half", "verification", d, kn, 0),
+        n_half=_get_int_vector(verification_raw, "n_half", "verification", d, kn, 0),
     )
 
     output_raw = _section(doc, "output", {"field_path", "csv_path"})

@@ -86,23 +86,6 @@ def integer_inverse(num: Sequence[Sequence[int]], den: int) -> tuple[list[list[i
     return [[den * x for x in row] for row in adjugate(num)], mat_det(num)
 
 
-def mat_inv(m: Sequence[Sequence[Fraction]]) -> Matrix:
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
-
-
 def hnf_columns(m: Sequence[Sequence[int]]) -> list[list[int]]:
     """Column-style Hermite form of an integer matrix with full row rank.
 

@@ -2,7 +2,9 @@
 condition checks.
 
 All verdicts are certified: rational arithmetic where the data is exact, and
-bracketed branch-and-bound results where a supremum or measure enters.
+bracketed branch-and-bound results where a supremum or measure enters.  The
+checks compare the certified results they are given and compute none; the
+caller picks every tolerance and box budget.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ from .algebra import LieAlgebraSpec
 from .errors import SchemaError
 from .intlattice import mat_det
 from .rationals import ceil_nth_root, format_rational
-from .spectral import (
-    MeasureResult,
-    SpectrumBox,
-    SupResult,
-    spectral_measure,
-    sup_density,
-)
+from .spectral import MeasureResult, SpectrumBox, SupResult
 
 
 @dataclass(frozen=True)
@@ -127,11 +123,6 @@ def fiber_lattice(
 
 # a measure bracket counts as equal to its basis target within this tolerance
 BASIS_TOL = 1e-9
-# certification tolerances of the per-piece sup and measure in the necessary bounds
-BOUNDS_SUP_TOL = 1e-9
-BOUNDS_MEASURE_TOL = 1e-7
-# box budget of the sublevel measure in the wavelet discretization check
-SUBLEVEL_MAX_BOXES = 200_000
 
 
 @dataclass(frozen=True)
@@ -154,23 +145,16 @@ class ConditionReport:
         return out
 
 
-def check_density_condition(
-    spec: LieAlgebraSpec,
-    params: QuasiLatticeParams,
-    box: SpectrumBox,
-    sup: SupResult,
-    tol: float,
-) -> ConditionReport:
+def check_density_condition(params: QuasiLatticeParams, sup: SupResult) -> ConditionReport:
     """Uniform density condition: the certified sup of the Plancherel density
-    over the box, certified to ``tol``, must not exceed prod(b_i q_i); ties
-    count as satisfied."""
+    over the box must not exceed prod(b_i q_i); ties count as satisfied.
+
+    The verdict reads the upper end of the bracket, so a bracket that
+    straddles the bound fails: certify ``sup`` as tightly as the verdict
+    needs before calling.
+    """
     bound = params.prod_bq
     passed = sup.upper <= bound
-    if not passed and sup.lower <= bound:
-        # bracket straddles the bound: tighten once before giving a verdict,
-        # but not below 1e-18, the smallest positive ``certified_tol``
-        sup = sup_density(spec.matrices.det_b, box, tol=max(tol * 1e-3, 1e-18))
-        passed = sup.upper <= bound
     margin = float(sup.upper / bound)
     return ConditionReport(
         condition="density",
@@ -290,36 +274,23 @@ def check_onb_condition(
     )
 
 
-@dataclass(frozen=True)
-class StepMultiplicity:
-    """Multiplicity as a step function on finitely many sub-boxes of the box."""
-
-    pieces: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...], int], ...]
-
-    @classmethod
-    def constant(cls, box: SpectrumBox, m: int) -> "StepMultiplicity":
-        zero = tuple(Fraction(0) for _ in box.a)
-        return cls(pieces=((zero, tuple(box.a), m),))
-
-    def __post_init__(self):
-        for lo, hi, m in self.pieces:
-            if m < 0:
-                raise SchemaError("multiplicity", "values must be non-negative integers")
-
-
 def check_necessary_bounds(
-    spec: LieAlgebraSpec,
     params: QuasiLatticeParams,
     mu_box: MeasureResult,
-    multiplicity: StepMultiplicity,
-    box: SpectrumBox,
+    pieces: Sequence[tuple[SupResult, MeasureResult, int]],
 ) -> ConditionReport:
     """Necessary conditions for a single Parseval generator and for wavelets.
+
+    ``mu_box`` is the certified measure of the box.  The multiplicity m(lam)
+    is a step function: ``pieces`` holds (sup, measure, m) per sub-box it is
+    constant on, the density's certified sup and measure there and the
+    integer m.  A negative m is an input error on ``multiplicity``.
 
     Sub-reports: total measure bound, superframe density bound, wavelet
     multiplicity bound, and the admissibility norm of the subspace.
     """
-    det_b = spec.matrices.det_b
+    if any(m < 0 for _, _, m in pieces):
+        raise SchemaError("multiplicity", "values must be non-negative integers")
     subs: list[ConditionReport] = []
 
     mu_lo, mu_hi = mu_box.lower, mu_box.upper
@@ -343,17 +314,14 @@ def check_necessary_bounds(
     norm_lo = Fraction(0)
     norm_hi = Fraction(0)
     inv_prod_a = Fraction(1) / params.prod_a
-    for lo, hi, m in multiplicity.pieces:
-        sub_box = SpectrumBox(a=tuple(box.a), sub_boxes=((lo, hi),))
+    for sup_piece, mu_piece, m in pieces:
         if m > 0:
-            sup_piece = sup_density(det_b, sub_box, tol=BOUNDS_SUP_TOL)
             super_margin = max(super_margin, float(m * sup_piece.upper / params.prod_bq))
             if m * sup_piece.upper > params.prod_bq:
                 super_ok = False
             wavelet_margin = max(wavelet_margin, float(m * sup_piece.upper * params.prod_a))
             if m * sup_piece.upper > inv_prod_a:
                 wavelet_ok = False
-            mu_piece = spectral_measure(det_b, sub_box, tol=BOUNDS_MEASURE_TOL)
             norm_lo += m * mu_piece.lower
             norm_hi += m * mu_piece.upper
     subs.append(
@@ -391,33 +359,17 @@ def check_necessary_bounds(
     )
 
 
-def check_wavelet_discretization(
-    spec: LieAlgebraSpec,
-    params: QuasiLatticeParams,
-    box: SpectrumBox,
-    measure_tol: float,
-) -> ConditionReport:
+def check_wavelet_discretization(params: QuasiLatticeParams, sub: MeasureResult) -> ConditionReport:
     """Discretizable-wavelet conditions.
 
-    First verdict: prod(b) prod(q) prod(a) = 1 in exact rational arithmetic.
-    Then the sublevel region where the fiber volume stays at most one is
-    certified: a witness sub-box proves non-emptiness and the measure bracket
-    bounds its spectral mass.  That bracket is second order: every box left
-    open contributes the exact integrals of lower and upper models of the
-    clipped density built on its linear Taylor model, and boxes are refined
-    until their bracket widths sum to at most 0.6 measure_tol.  Second
-    verdict: that mass equals one within BASIS_TOL (the basis case).
+    ``sub`` is the certified measure of the sublevel region r(lam) <=
+    prod(b q), where the fiber volume stays at most one.  First verdict:
+    prod(b) prod(q) prod(a) = 1 in exact rational arithmetic.  A witness
+    sub-box and a positive lower end prove the region nonempty.  Second
+    verdict: its mass equals one within BASIS_TOL (the basis case).
     """
-    det_b = spec.matrices.det_b
     product = params.covolume
     product_ok = product == 1
-    sub = spectral_measure(
-        det_b,
-        box,
-        tol=measure_tol,
-        threshold=params.prod_bq,
-        max_boxes=SUBLEVEL_MAX_BOXES,
-    )
     nonempty = sub.witness_box is not None and sub.lower > 0
     basis_ok = abs(sub.value - 1.0) <= BASIS_TOL and float(sub.width) <= BASIS_TOL
     margins = {

@@ -48,7 +48,6 @@ from .intlattice import (
     hnf_columns,
     integer_inverse,
     mat_det,
-    mat_inv,
     mat_vec,
     residue,
 )
@@ -175,7 +174,7 @@ class TruncationSpec:
     def __post_init__(self):
         for name, vec in (("m", self.m_half), ("k", self.k_half), ("n", self.n_half)):
             if any(h < 0 for h in vec):
-                raise SchemaError(f"trunc.{name}", "half-widths must be non-negative")
+                raise SchemaError(f"verification.{name}_half", "half-widths must be non-negative")
 
     def gamma_range(self) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Reduced lattice indices (k, n) in canonical lexicographic order."""
@@ -255,7 +254,8 @@ def bump_profile(center: float | Sequence[float], width: float | Sequence[float]
 def sample_window(window: PiecewiseBoxWindow, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Float indicator values of the window's pieces on a product grid;
     returns an array shaped like the grid."""
-    inv = np.array([[float(v) for v in row] for row in mat_inv(window.shape)])
+    num, den = window.shape_inv
+    inv = np.array([[float(Fraction(v, den)) for v in row] for row in num])
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=0)  # (d, npts)
     out = np.zeros(pts.shape[1], dtype=bool)

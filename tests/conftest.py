@@ -87,3 +87,22 @@ def exact_measure(x) -> "MeasureResult":
 
     x = Fraction(x)
     return MeasureResult(float(x), x, x, MeasureCertificate(boxes=0, depth=0, converged=True))
+
+
+def mat_inv(m) -> list[list[Fraction]]:
+    """Inverse of a rational matrix by Gauss-Jordan elimination: a reference
+    independent of the package's adjugate-based integer inverse."""
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if aug[r][c] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        pv = aug[c][c]
+        aug[c] = [x / pv for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from nilframe.algebra import load_spec, validate_class
+from nilframe.cli import SUBLEVEL_MAX_BOXES
 from nilframe.lattice import (
     QuasiLatticeParams,
     check_density_condition,
@@ -157,7 +158,7 @@ def test_criterion_2_heisenberg_design():
         sup = sup_density(density_polynomial(spec), box, tol=1e-9)
         for q, expected in ((F(1), True), (F(3), True), (F(1, 2), False)):
             params = QuasiLatticeParams(a=(a,), q=(q,), b=(a,))
-            rep = check_density_condition(spec, params, box, sup, tol=1e-9)
+            rep = check_density_condition(params, sup)
             assert rep.passed is expected, f"q={q}"
 
         # basis equality forces q = 1/2, which density rejects
@@ -201,7 +202,14 @@ def test_criterion_3_example3_wavelet_discretization():
         params = QuasiLatticeParams(
             a=(F(1), F(1), F(1)), q=(F(1), F(1), F(1)), b=(F(1), F(1), F(1))
         )
-        rep = check_wavelet_discretization(spec, params, box, measure_tol=5e-2)
+        sublevel = spectral_measure(
+            density_polynomial(spec),
+            box,
+            tol=5e-2,
+            threshold=params.prod_bq,
+            max_boxes=SUBLEVEL_MAX_BOXES,
+        )
+        rep = check_wavelet_discretization(params, sublevel)
         assert rep.margins["product"] == "1"
         sub = {s.condition: s for s in rep.sub_reports}
         assert sub["unit_covolume_product"].passed

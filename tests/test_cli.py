@@ -179,7 +179,6 @@ class TestRunCommand:
         # Pfaffian check reuses the spec's det_b: one sup, and determinants
         # only for det_b and the jump block
         import nilframe.cli as cli
-        import nilframe.lattice as lattice
         import nilframe.spectral as spectral
 
         calls = {"sup_density": 0, "determinant": 0}
@@ -194,7 +193,6 @@ class TestRunCommand:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(cli, "sup_density")
-        counting(lattice, "sup_density")
         counting(spectral, "determinant")
         config = parse_config(desk_config_doc(lattice={}))
         report, code = run_command("design", config)
@@ -298,23 +296,23 @@ class TestRunCommand:
 
     def test_density_straddle_recertifies_at_the_configured_tolerance(self, monkeypatch):
         # prod(b q) = 1.2599211**3 ~ 2.00000024 lies inside example3's sup
-        # bracket [2, 4194305/2097152] at sup_tol 1e-6, so the density check
-        # certifies once more, at sup_tol * 1e-3
-        import nilframe.lattice as lattice
+        # bracket [2, 4194305/2097152] at sup_tol 1e-6, so the design stage
+        # certifies once more, at sup_tol * 1e-3, before the density check
+        import nilframe.cli as cli
 
         tols = []
-        real = lattice.sup_density
+        real = cli.sup_density
 
         def recording(*args, **kwargs):
             tols.append(kwargs["tol"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(lattice, "sup_density", recording)
+        monkeypatch.setattr(cli, "sup_density", recording)
         doc = json.loads(fixture_path("example3.json").read_text())
         doc["lattice"] = {"q": ["1"] * 3, "b": ["12599211/10000000"] * 3}
         report, code = run_command("design", parse_config(doc))
         assert code == EXIT_PASS
-        assert tols == [pytest.approx(1e-9)]
+        assert tols == [pytest.approx(1e-6), pytest.approx(1e-9)]
         assert report["spectral"]["sup_density"]["upper"] == "4194305/2097152"
 
     @pytest.mark.parametrize(
@@ -663,7 +661,6 @@ MISSING = "missing/out.json"
         ("verify", {"spectrum": {"sup_tol": math.nan}}, [], "spectrum.sup_tol"),
         ("verify", {"spectrum": {"sup_tol": math.inf}}, [], "spectrum.sup_tol"),
         ("verify", {"spectrum": {"sup_tol": 10**400}}, [], "spectrum.sup_tol"),
-        ("verify", {"verification": {"ratio_tol": math.nan}}, [], "verification.ratio_tol"),
         ("validate", {"output": 5}, [], "output"),
         ("validate", {"verification": []}, [], "verification"),
         ("validate", {"lattice": None}, [], "lattice"),
@@ -683,6 +680,14 @@ MISSING = "missing/out.json"
         ("analyze", {"spectrum": {"measure_tol": 1e-300}}, [], "spectrum.measure_tol"),
         ("analyze", {"spectrum": {"sup_tol": 4e-19}}, [], "spectrum.sup_tol"),
         ("analyze", {"verification": {"lam_grid": ["x"]}}, [], "verification.lam_grid"),
+        # verification counts below their least value, named before any stage runs
+        ("validate", {"verification": {"lam_grid": [0]}}, [], "verification.lam_grid"),
+        ("validate", {"verification": {"points_per_cell": [0]}}, [], "verification.points_per_cell"),
+        ("validate", {"verification": {"cells_after": [0]}}, [], "verification.cells_after"),
+        ("validate", {"verification": {"cells_before": [-1]}}, [], "verification.cells_before"),
+        ("validate", {"verification": {"m_half": [-2]}}, [], "verification.m_half"),
+        ("validate", {"verification": {"k_half": [-1]}}, [], "verification.k_half"),
+        ("validate", {"verification": {"n_half": [-1]}}, [], "verification.n_half"),
         ("analyze", {"spectrum": {"a": ["1" * 3000]}}, [], "spectrum.a"),
         ("analyze", {"spectrum": {"a": ["1" + "0" * 160]}}, [], "spectrum.a"),
         # keys removed from the schema, set to their former defaults
@@ -690,12 +695,13 @@ MISSING = "missing/out.json"
         ("validate", {"verification": {"test_fields": 3}}, [], "verification"),
         ("validate", {"verification": {"piece_limit": 4096}}, [], "verification"),
         ("validate", {"output": {"timing": False}}, [], "output"),
+        ("validate", {"verification": {"ratio_tol": 1e-2}}, [], "verification"),
+        ("validate", {"verification": {"defect_tol": 1e-3}}, [], "verification"),
     ],
     ids=[
         "tol-nan",
         "tol-inf",
         "tol-overflow",
-        "ratio-tol-nan",
         "output-int",
         "verification-list",
         "lattice-null",
@@ -712,12 +718,21 @@ MISSING = "missing/out.json"
         "measure-tol-floor",
         "tol-floor",
         "lam-grid-x",
+        "lam-grid-zero",
+        "points-per-cell-zero",
+        "cells-after-zero",
+        "cells-before-negative",
+        "m-half-negative",
+        "k-half-negative",
+        "n-half-negative",
         "a-repunit",
         "a-1e160",
         "removed-eps-degenerate",
         "removed-test-fields",
         "removed-piece-limit",
         "removed-timing",
+        "removed-ratio-tol",
+        "removed-defect-tol",
     ],
 )
 def test_config_and_output_errors_exit_3(tmp_path, command, edit, extra, field):

@@ -8,7 +8,6 @@ import pytest
 from nilframe.errors import SchemaError
 from nilframe.lattice import (
     QuasiLatticeParams,
-    StepMultiplicity,
     check_density_condition,
     check_necessary_bounds,
     check_onb_condition,
@@ -18,11 +17,15 @@ from nilframe.lattice import (
 )
 from nilframe.spectral import (
     SpectrumBox,
+    SupCertificate,
+    SupResult,
     density_polynomial,
     eval_density,
     spectral_measure,
     sup_density,
 )
+
+from nilframe.cli import SUBLEVEL_MAX_BOXES
 
 from conftest import exact_measure
 
@@ -44,7 +47,19 @@ def certified_sup(spec, box):
 
 
 def density_check(spec, params, box):
-    return check_density_condition(spec, params, box, certified_sup(spec, box), tol=1e-9)
+    return check_density_condition(params, certified_sup(spec, box))
+
+
+def wavelet_check(spec, params, box, measure_tol):
+    """The wavelet check on the sublevel measure the design stage certifies."""
+    sub = spectral_measure(
+        density_polynomial(spec),
+        box,
+        tol=measure_tol,
+        threshold=params.prod_bq,
+        max_boxes=SUBLEVEL_MAX_BOXES,
+    )
+    return check_wavelet_discretization(params, sub)
 
 
 def designed(spec, box, q=None, b=None):
@@ -123,6 +138,17 @@ class TestDensityCondition:
         for bigger in (params_for([2], [2], [2]), params_for([2], [1], [3])):
             assert density_check(heisenberg, bigger, box).passed
 
+    def test_straddling_bracket_fails(self):
+        # [9 - 1e-6, 9 + 1e-6] straddles prod(b q) = 9: the check reads the
+        # upper end and certifies nothing more itself
+        sup = SupResult(
+            value=9.0,
+            lower=F(9) - F(1, 10**6),
+            upper=F(9) + F(1, 10**6),
+            certificate=SupCertificate(depth=0, boxes=0, argmax=(F(0), F(3)), converged=True),
+        )
+        assert not check_density_condition(params_for([2, 3], [1, 1], [3, 3]), sup).passed
+
 
 class TestDesignParams:
     def test_example2_design(self, example2):
@@ -147,7 +173,7 @@ class TestDesignParams:
         for spec, a in ((heisenberg, (F(3),)), (example2, (F(2), F(3))), (example3, (F(1), F(1), F(1)))):
             box = SpectrumBox(a=a)
             params, sup = designed(spec, box)
-            rep = check_density_condition(spec, params, box, sup, tol=1e-9)
+            rep = check_density_condition(params, sup)
             assert rep.passed
 
     def test_fixed_b_is_kept_with_unit_q(self, heisenberg):
@@ -164,7 +190,7 @@ class TestDesignParams:
         box = SpectrumBox(a=(F(2),))
         params, sup = designed(heisenberg, box, q=[F(1, 2)], b=[F(2)])
         assert params.q == (F(1, 2),)
-        assert not check_density_condition(heisenberg, params, box, sup, tol=1e-9).passed
+        assert not check_density_condition(params, sup).passed
 
     def test_bad_q_hint_rejected(self, heisenberg):
         box = SpectrumBox(a=(F(1),))
@@ -220,10 +246,9 @@ class TestNecessaryBounds:
     def test_example2_all_pass_with_unit_multiplicity(self, example2):
         box = SpectrumBox(a=(F(2), F(3)))
         p = params_for([2, 3], [1, 1], [3, 3])
-        mult = StepMultiplicity.constant(box, 1)
         det_b = density_polynomial(example2)
         mu = spectral_measure(det_b, box, tol=1e-7)
-        rep = check_necessary_bounds(example2, p, mu, mult, box)
+        rep = check_necessary_bounds(p, mu, [(sup_density(det_b, box, tol=1e-9), mu, 1)])
         by_name = {s.condition: s for s in rep.sub_reports}
         assert by_name["measure_bound"].passed  # 46/3 <= 54
         assert by_name["superframe_density_bound"].passed
@@ -231,10 +256,10 @@ class TestNecessaryBounds:
     def test_multiplicity_two_breaks_superframe_bound(self, example2):
         box = SpectrumBox(a=(F(2), F(3)))
         p = params_for([2, 3], [1, 1], [3, 3])
-        mult = StepMultiplicity.constant(box, 2)  # peak m * r = 18 > 9
         det_b = density_polynomial(example2)
         mu = spectral_measure(det_b, box, tol=1e-7)
-        rep = check_necessary_bounds(example2, p, mu, mult, box)
+        # peak m * r = 18 > 9
+        rep = check_necessary_bounds(p, mu, [(sup_density(det_b, box, tol=1e-9), mu, 2)])
         by_name = {s.condition: s for s in rep.sub_reports}
         assert not by_name["superframe_density_bound"].passed
         assert by_name["superframe_density_bound"].margins["max_ratio"] == pytest.approx(2.0)
@@ -242,11 +267,19 @@ class TestNecessaryBounds:
     def test_zero_multiplicity_vacuous(self, example2):
         box = SpectrumBox(a=(F(2), F(3)))
         p = params_for([2, 3], [1, 1], [3, 3])
-        mult = StepMultiplicity.constant(box, 0)
-        rep = check_necessary_bounds(example2, p, exact_measure(0), mult, box)
+        sup = sup_density(density_polynomial(example2), box, tol=1e-9)
+        rep = check_necessary_bounds(p, exact_measure(0), [(sup, exact_measure(0), 0)])
         assert rep.passed
         by_name = {s.condition: s for s in rep.sub_reports}
         assert by_name["admissibility_norm"].margins["norm_sq"] == 0.0
+
+    def test_negative_multiplicity_is_an_input_error(self, example2):
+        box = SpectrumBox(a=(F(2), F(3)))
+        p = params_for([2, 3], [1, 1], [3, 3])
+        sup = sup_density(density_polynomial(example2), box, tol=1e-9)
+        with pytest.raises(SchemaError) as err:
+            check_necessary_bounds(p, exact_measure(0), [(sup, exact_measure(0), -1)])
+        assert err.value.field == "multiplicity"
 
     def test_onb_pass_implies_measure_bound(self):
         # definitional: measure equal to the product bound also satisfies it
@@ -261,7 +294,7 @@ class TestWaveletDiscretization:
     def test_example3_unit_product(self, example3):
         box = SpectrumBox(a=(F(1), F(1), F(1)))
         p = params_for([1, 1, 1], [1, 1, 1], [1, 1, 1])
-        rep = check_wavelet_discretization(example3, p, box, measure_tol=5e-2)
+        rep = wavelet_check(example3, p, box, measure_tol=5e-2)
         assert rep.passed
         assert rep.margins["product"] == "1"
         assert rep.margins["sublevel_nonempty"] is True
@@ -270,13 +303,13 @@ class TestWaveletDiscretization:
     def test_example2_product_54_fails(self, example2):
         box = SpectrumBox(a=(F(2), F(3)))
         p = params_for([2, 3], [1, 1], [3, 3])
-        rep = check_wavelet_discretization(example2, p, box, measure_tol=1e-2)
+        rep = wavelet_check(example2, p, box, measure_tol=1e-2)
         assert not rep.passed
         assert rep.margins["product"] == "54"
 
     def test_heisenberg_tuned_product(self, heisenberg):
         box = SpectrumBox(a=(F(2),))
         p = params_for([2], ["1/2"], [1])
-        rep = check_wavelet_discretization(heisenberg, p, box, measure_tol=1e-6)
+        rep = wavelet_check(heisenberg, p, box, measure_tol=1e-6)
         sub = {s.condition: s for s in rep.sub_reports}
         assert sub["unit_covolume_product"].passed  # 2 * 1/2 * 1 = 1

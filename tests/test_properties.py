@@ -108,7 +108,7 @@ def test_designed_params_always_satisfy_density(seed):
     box = SpectrumBox(a=tuple(Fraction(rng.randint(1, 3)) for _ in range(spec.center_dim)))
     sup = sup_density(density_polynomial(spec), box, tol=1e-6)
     params = design_params(spec, box, sup, q=None, b=None, precision_digits=12)
-    report = check_density_condition(spec, params, box, sup, tol=1e-6)
+    report = check_density_condition(params, sup)
     assert report.passed
 
 
@@ -150,13 +150,13 @@ def test_density_verdict_monotone_under_parameter_growth():
         box = SpectrumBox(a=tuple(Fraction(1) for _ in range(spec.center_dim)))
         sup = sup_density(density_polynomial(spec), box, tol=1e-6)
         params = design_params(spec, box, sup, q=None, b=None, precision_digits=12)
-        assert check_density_condition(spec, params, box, sup, tol=1e-6).passed
+        assert check_density_condition(params, sup).passed
         grown = QuasiLatticeParams(
             a=params.a,
             q=tuple(x * rng.randint(1, 3) for x in params.q),
             b=tuple(x * rng.randint(1, 3) for x in params.b),
         )
-        assert check_density_condition(spec, grown, box, sup, tol=1e-6).passed
+        assert check_density_condition(grown, sup).passed
 
 
 def test_window_norm_equals_volume_across_random_fibers():

@@ -30,6 +30,8 @@ from nilframe.verify import (
 )
 from nilframe.windows import FieldNode, build_generator_field, synthesize_window
 
+from conftest import mat_inv
+
 
 def F(*args):
     return Fraction(*args)
@@ -102,7 +104,7 @@ class BucketSearchGram:
     def __init__(self, node, pairwise_at_zero=False):
         from collections import defaultdict
 
-        from nilframe.intlattice import mat_det, mat_inv, mat_vec
+        from nilframe.intlattice import mat_det, mat_vec
 
         self.mat_vec = mat_vec
         self.pairwise_at_zero = pairwise_at_zero
@@ -520,7 +522,7 @@ class TestTilingCertificateMutations:
 
     @pytest.mark.parametrize("j", [0, 1])
     def test_dual_vector_shift_breaks_tiling(self, fiber, j):
-        from nilframe.intlattice import mat_inv, mat_transpose
+        from nilframe.intlattice import mat_transpose
 
         window, lat = fiber
         dual = mat_inv(mat_transpose(lat.modulation))

@@ -11,7 +11,7 @@ from operator import mul
 import pytest
 
 from nilframe.errors import DegenerateFiberError, DensityViolationError, PieceOverflowError
-from nilframe.intlattice import mat_inv, mat_mul, mat_transpose, mat_vec
+from nilframe.intlattice import mat_mul, mat_transpose, mat_vec
 from nilframe.lattice import QuasiLatticeParams, fiber_lattice
 from nilframe.spectral import SpectrumBox, density_polynomial, spectral_measure
 from nilframe.windows import (
@@ -20,6 +20,8 @@ from nilframe.windows import (
     field_to_document,
     synthesize_window,
 )
+
+from conftest import mat_inv
 
 
 def F(*args):
