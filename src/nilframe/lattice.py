@@ -284,12 +284,13 @@ def check_necessary_bounds(
     ``mu_box`` is the certified measure of the box.  The multiplicity m(lam)
     is a step function: ``pieces`` holds (sup, measure, m) per sub-box it is
     constant on, the density's certified sup and measure there and the
-    integer m.  A negative m is an input error on ``multiplicity``.
+    integer m.  An m that is not a non-negative integer (a bool or a float
+    included) is an input error on ``multiplicity``.
 
     Sub-reports: total measure bound, superframe density bound, wavelet
     multiplicity bound, and the admissibility norm of the subspace.
     """
-    if any(m < 0 for _, _, m in pieces):
+    if not all(isinstance(m, int) and not isinstance(m, bool) and m >= 0 for _, _, m in pieces):
         raise SchemaError("multiplicity", "values must be non-negative integers")
     subs: list[ConditionReport] = []
 

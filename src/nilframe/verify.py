@@ -254,7 +254,7 @@ def bump_profile(center: float | Sequence[float], width: float | Sequence[float]
 def sample_window(window: PiecewiseBoxWindow, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Float indicator values of the window's pieces on a product grid;
     returns an array shaped like the grid."""
-    num, den = window.shape_inv
+    num, den = window._shape_inv
     inv = np.array([[float(Fraction(v, den)) for v in row] for row in num])
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=0)  # (d, npts)

@@ -99,28 +99,28 @@ class PiecewiseBoxWindow:
         return self.scale**2 * float(self.total_measure)
 
     @cached_property
-    def shape_inv(self) -> tuple[list[list[int]], int]:
+    def _shape_inv(self) -> tuple[list[list[int]], int]:
         """P^{-1} as integer numerators over one denominator."""
         return integer_inverse(*cleared_denominators(self.shape))
 
     @cached_property
     def cells(self) -> tuple[tuple[int, ...], ...]:
         """Integer cell V = P^{-1} offset of every piece, in piece order."""
-        inv, den = self.shape_inv
+        inv, den = self._shape_inv
         offsets, offset_den = cleared_denominators(self.offsets)
         return tuple(map(tuple, divide_exact(mat_mul(offsets, mat_transpose(inv)), den * offset_den)))
 
     def translation_cells(self, lattice: FiberGaborLattice) -> list[list[int]]:
         """The lattice's translations A = P^{-1} T in piece-cell coordinates,
         an integer matrix."""
-        inv, den = self.shape_inv
+        inv, den = self._shape_inv
         trans, trans_den = cleared_denominators(lattice.translation)
         return divide_exact(mat_mul(inv, trans), den * trans_den)
 
     def dual_cells(self, lattice: FiberGaborLattice) -> tuple[list[list[int]], int]:
         """The lattice's dual modulations D = P^{-1} C^{-tr} in piece-cell
         coordinates, as integer numerators over one denominator."""
-        inv, den = self.shape_inv
+        inv, den = self._shape_inv
         mod, mod_den = cleared_denominators(lattice.modulation)
         dual, dual_den = integer_inverse(mat_transpose(mod), mod_den)
         return mat_mul(inv, dual), den * dual_den

@@ -273,12 +273,13 @@ class TestNecessaryBounds:
         by_name = {s.condition: s for s in rep.sub_reports}
         assert by_name["admissibility_norm"].margins["norm_sq"] == 0.0
 
-    def test_negative_multiplicity_is_an_input_error(self, example2):
+    @pytest.mark.parametrize("m", [-1, 0.5, True])
+    def test_multiplicity_not_a_count_is_an_input_error(self, example2, m):
         box = SpectrumBox(a=(F(2), F(3)))
         p = params_for([2, 3], [1, 1], [3, 3])
         sup = sup_density(density_polynomial(example2), box, tol=1e-9)
         with pytest.raises(SchemaError) as err:
-            check_necessary_bounds(p, exact_measure(0), [(sup, exact_measure(0), -1)])
+            check_necessary_bounds(p, exact_measure(0), [(sup, exact_measure(0), m)])
         assert err.value.field == "multiplicity"
 
     def test_onb_pass_implies_measure_bound(self):
