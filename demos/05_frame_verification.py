@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from nilframe import (
+    PeriodizedFiber,
     QuasiLatticeParams,
     SpectrumBox,
     TruncationSpec,
@@ -56,6 +57,12 @@ for half in (4, 8, 16, 32):
     trunc = TruncationSpec(m_half=(0,), k_half=(half,), n_half=(half,))
     rep = fiber_parseval_defect(params, node, [gaussian], trunc, grid)
     print(f"   defect with k,n in [-{half},{half}]: {rep.defect:.3e}")
+
+# the exact-in-k oracle sums every modulation at once by periodization
+fiber = PeriodizedFiber(node)
+(narrow,), samples = fiber.ratios([([0.5], [0.08])])
+(wide,), _ = fiber.ratios([([0.5], [fiber.wide_width])])
+print(f"   exact ratios: narrow {narrow:.15f}, wide {wide:.15f} ({samples} samples)")
 
 # full frame energy against three smooth test fields
 trunc = TruncationSpec(m_half=(32,), k_half=(16,), n_half=(16,))

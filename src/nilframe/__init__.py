@@ -35,12 +35,14 @@ from .spectral import (
 )
 from .verify import (
     BandlimitedField,
+    PeriodizedFiber,
     TruncationSpec,
     fiber_parseval_defect,
     frame_energy_ratio,
     gram_orthonormality_check,
     make_aligned_grid,
     make_test_field,
+    periodized_frame_ratio,
     window_tiling_check,
 )
 from .windows import (
@@ -82,11 +84,13 @@ __all__ = [
     "field_to_document",
     "synthesize_window",
     "BandlimitedField",
+    "PeriodizedFiber",
     "TruncationSpec",
     "fiber_parseval_defect",
     "frame_energy_ratio",
     "gram_orthonormality_check",
     "make_aligned_grid",
     "make_test_field",
+    "periodized_frame_ratio",
     "window_tiling_check",
 ]

@@ -36,7 +36,7 @@ from .lattice import (
     check_wavelet_discretization,
     design_params,
 )
-from .rationals import format_rational
+from .rationals import format_rational, format_rational_vector
 from .spectral import (
     MeasureResult,
     SupResult,
@@ -45,14 +45,11 @@ from .spectral import (
     sup_density,
 )
 from .verify import (
+    PeriodizedFiber,
     TruncationSpec,
     bump_profile,
-    fiber_parseval_defect,
-    frame_energy_ratio,
-    gaussian_profile,
     gram_orthonormality_check,
-    make_aligned_grid,
-    make_test_field,
+    periodized_frame_ratio,
     window_tiling_check,
 )
 from .windows import FrameGeneratorField, build_generator_field, field_to_document
@@ -172,49 +169,42 @@ def _stage_synthesize(
 
 
 def _stage_verify(config: ConfigDocument, report: dict, field: FrameGeneratorField) -> bool:
+    """The tiling certificate, the exact (periodized) fiber ratios of every
+    usable node, and the test fields' frame ratios built from them.  The
+    x-grid and truncation keys of ``verification`` configure only the
+    library's truncated oracle; the Gram check reads k, n in {-1, 0, 1}."""
     if not field.nodes:
         raise SchemaError("verify", "generator field has no usable nodes")
     spec = config.algebra
     d = spec.d
-    params = field.params
-    ver = config.verification
-    x_grid = make_aligned_grid(params.b, ver.cells_before, ver.cells_after, ver.points_per_cell)
-    trunc = TruncationSpec(m_half=ver.m_half, k_half=ver.k_half, n_half=ver.n_half)
+    b = field.params.b
 
     tiling = window_tiling_check([(n.window, n.lattice) for n in field.nodes])
 
-    # per-fiber defects with a Gaussian concentrated in the base cell; only
-    # fibers in the top-density half are probed, since the truncated
-    # modulation range cannot cover the test bandwidth on near-degenerate
-    # fibers (their lattice spacing collapses with the density)
-    mesh = x_grid.mesh()
-    centers = [0.5 / float(params.b[k]) for k in range(d)]
-    widths = [0.08 / float(params.b[k]) for k in range(d)]
-    test = gaussian_profile(centers, widths)(mesh).astype(complex)
-    eligible = sorted(field.nodes, key=lambda n: n.density, reverse=True)
-    eligible = eligible[: max(1, len(eligible) // 2)]
-    probe = sorted({0, len(eligible) // 2, len(eligible) - 1})
-    defects = []
-    for idx in probe:
-        node = eligible[idx]
-        rep = fiber_parseval_defect(params, node, [test], trunc, x_grid)
-        defects.append((node.lam, rep.defect))
-    defect_values = [dval for _, dval in defects]
+    # test field i's x-Gaussian sits at 0.5/b - 0.02 i with widths
+    # 0.08/b (1 + 0.15 i); field 0's is the narrow defect test, concentrated
+    # in the base cell, and the wide one is as wide as the fiber's lattice
+    centers = [0.5 / float(bk) for bk in b]
+    widths = [0.08 / float(bk) for bk in b]
+    x_tests = [
+        ([c - 0.02 * i for c in centers], [w * (1.0 + 0.15 * i) for w in widths])
+        for i in range(TEST_FIELDS)
+    ]
+    test_names = ["narrow", *(f"field {i}" for i in range(1, TEST_FIELDS)), "wide"]
+    fiber_ratios = []  # per node: the x_tests' ratios, then the wide test's
+    for node in field.nodes:
+        fiber = PeriodizedFiber(node)
+        wide = (centers, [fiber.wide_width] * d)
+        fiber_ratios.append(fiber.ratios(x_tests)[0] + fiber.ratios([wide])[0])
+    defects = [max(abs(r - 1.0) for r in node_ratios) for node_ratios in fiber_ratios]
 
     ratios = []
     (lo, hi), = field.box.region()
     lam_widths = [0.1 * float(h - l) for l, h in zip(lo, hi)]
-    for i in range(TEST_FIELDS):
+    for i, (_, x_widths) in enumerate(x_tests):
         lam_center = [float(l + (h - l) * Fraction(45 + 7 * i, 100)) for l, h in zip(lo, hi)]
-        psi = make_test_field(
-            field,
-            x_grid,
-            spectral_profile=bump_profile(lam_center, lam_widths),
-            space_profile=gaussian_profile(
-                [c - 0.02 * i for c in centers], [w * (1.0 + 0.15 * i) for w in widths]
-            ),
-        )
-        ratios.append(frame_energy_ratio(psi, field, trunc))
+        bump = bump_profile(lam_center, lam_widths)
+        ratios.append(periodized_frame_ratio(field, bump, x_widths, [r[i] for r in fiber_ratios]))
 
     gram = None
     if config.lattice.onb_requested:
@@ -225,20 +215,30 @@ def _stage_verify(config: ConfigDocument, report: dict, field: FrameGeneratorFie
 
     if config.output.csv_path:
         rows = "".join(
-            f"\"{';'.join(format_rational(x) for x in lam)}\",{dval!r}\n" for lam, dval in defects
+            f"\"{';'.join(format_rational(x) for x in node.lam)}\",{dval!r}\n"
+            for node, dval in zip(field.nodes, defects)
         )
         write_output(config.output.csv_path, "lam,defect\n" + rows, "output.csv_path")
 
     ratio_ok = all(abs(r.ratio - 1.0) <= RATIO_TOL for r in ratios)
-    defect_ok = max(defect_values) <= DEFECT_TOL
+    defect_ok = max(defects) <= DEFECT_TOL
     passed = tiling.passed and ratio_ok and defect_ok
+    fiber_defects = {
+        "max": max(defects),
+        "mean": sum(defects) / len(defects),
+        "probed_nodes": len(defects),
+    }
+    if not defect_ok:
+        worst = max(range(len(defects)), key=defects.__getitem__)
+        test = max(range(len(test_names)), key=lambda t: abs(fiber_ratios[worst][t] - 1.0))
+        fiber_defects["worst"] = {
+            "lam": format_rational_vector(field.nodes[worst].lam),
+            "test": test_names[test],
+            "ratio": fiber_ratios[worst][test],
+        }
     report["verification"] = {
         "tiling": tiling.as_dict(),
-        "fiber_defects": {
-            "max": max(defect_values),
-            "mean": sum(defect_values) / len(defect_values),
-            "probed_nodes": len(defects),
-        },
+        "fiber_defects": fiber_defects,
         "frame_ratios": [r.as_dict() for r in ratios],
         "gram": gram.as_dict() if gram is not None else None,
         "passed": passed,

@@ -8,8 +8,9 @@ A rational matrix enters the integer kernels as integer numerators over one
 positive denominator (``cleared_denominators``); its inverse stays in that
 form (``integer_inverse``).  Window synthesis and the verifier's tiling
 certificate share the integer residues modulo a Hermite basis and the
-packing test for a single cell.  Everything here is a list of lists, sized
-d <= 3 in practice.
+packing test for a single cell; the verifier's exact-in-k oracle samples
+along an LLL-reduced basis (``lll_columns``).  Everything here is a list of
+lists, sized d <= 3 in practice.
 """
 
 from __future__ import annotations
@@ -144,6 +145,45 @@ def lattice_sum_basis(gn: Sequence[Sequence[int]], g: int) -> list[list[int]]:
     the column Hermite form of [gn | g I] returned here (g > 0)."""
     d = len(gn)
     return hnf_columns([row + [g if i == j else 0 for j in range(d)] for i, row in enumerate(gn)])
+
+
+def lll_columns(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by the columns
+    of a nonsingular integer matrix, returned as the columns of a matrix.
+
+    Exact: Gram-Schmidt runs on Fractions and is redone after every swap,
+    which costs little at d <= 3."""
+    cols = [list(c) for c in zip(*m)]
+    k = 1
+    while k < len(cols):
+        mu, norms = _gram_schmidt(cols)
+        # size reduction leaves the Gram-Schmidt vectors, so norms, unchanged
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                cols[k] = [a - q * b for a, b in zip(cols[k], cols[j])]
+                mu[k][: j + 1] = [x - q * y for x, y in zip(mu[k], mu[j][:j] + [1])]
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            cols[k - 1], cols[k] = cols[k], cols[k - 1]
+            k = max(k - 1, 1)
+    return mat_transpose(cols)
+
+
+def _gram_schmidt(cols: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Coefficients mu[i][j] and squared norms of the Gram-Schmidt vectors."""
+    mu = [[Fraction(0)] * len(cols) for _ in cols]
+    stars: list[list[Fraction]] = []
+    norms: list[Fraction] = []
+    for i, b in enumerate(cols):
+        star = [Fraction(x) for x in b]
+        for j in range(i):
+            mu[i][j] = sum(map(mul, b, stars[j])) / norms[j]
+            star = [x - mu[i][j] * y for x, y in zip(star, stars[j])]
+        stars.append(star)
+        norms.append(sum(x * x for x in star))
+    return mu, norms
 
 
 def residue(v: Sequence[int], h: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -1,22 +1,38 @@
 """Independent numerical verification of the frame identities.
 
-Everything here works in the fiberized picture: representations act on
-sampled functions over an aligned x-grid, inner products are rectangle-rule
-quadratures, and the full frame energy is accumulated through the coefficient
-formula (fiber inner products, weighted by the Plancherel density, expanded
-against the exponential family of the spectral box).
+Everything here works in the fiberized picture, with two oracles for the
+Parseval identities.
 
-Modulations factor over the axes of the product x-grid, exp(-2 pi i x.Bk) =
-prod_a exp(-2 pi i x_a (Bk)_a): with one phase table per axis and node, each
-(translation, node) pair costs one matrix product for every k at once.
+The exact-in-k oracle (``PeriodizedFiber``, ``periodized_frame_ratio``) is
+what ``nilframe verify`` runs.  Poisson summation over the dual modulation
+lattice sums every modulation of a fiber at once, so a fiber's energy
+against a Gaussian test is a periodized sum over samples that are
+enumerated only where the test lives; windows are read through their
+integer piece cells, and the translations by residues modulo the
+translation cells.  Nothing is truncated.  The frame energy of a field
+amp(λ) f(x) is then the density-weighted sum of its fiber energies over one
+alias period of the λ-grid.
+
+The truncated oracle (``fiber_parseval_defect``, ``frame_energy_ratio``,
+``make_test_field``) is kept for the library and its tests: representations
+act on sampled functions over an aligned x-grid, inner products are
+rectangle-rule quadratures over a finite k, n range, and the full frame
+energy is accumulated through the coefficient formula (fiber inner
+products, weighted by the Plancherel density, expanded against the
+exponential family of the spectral box), with the energy of the last shell
+reported as its tail.  Modulations factor over the axes of the product
+x-grid, exp(-2 pi i x.Bk) = prod_a exp(-2 pi i x_a (Bk)_a): with one phase
+table per axis and node, each (translation, node) pair costs one matrix
+product for every k at once.
 
 The λ side is read from the generator field alone: its usable nodes, their
-float densities |det B(λ)| and its cell volume; a test field holds only
-x-samples, one array per usable node.  The λ-grid Fourier step is exact at
-grid level: coefficients are taken over one alias period of the grid,
-a N/(hi - lo) per axis for N nodes on [lo, hi] (a fractional period is
-rejected), so requesting more central indices than the grid resolves cannot
-double-count energy; the clipping is reported, never hidden.
+float densities |det B(λ)| and its cell volume; a test field of the
+truncated oracle holds only x-samples, one array per usable node.  The
+λ-grid Fourier step is exact at grid level: coefficients are taken over one
+alias period of the grid, a N/(hi - lo) per axis for N nodes on [lo, hi] (a
+fractional period is rejected by both oracles), so requesting more central
+indices than the grid resolves cannot double-count energy; the clipping is
+reported, never hidden.
 
 The tiling certificate and the Gram diagnostic read one piece-cell view of
 each window (``PiecewiseBoxWindow.cells``, ``translation_cells`` and
@@ -38,16 +54,20 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .errors import MisalignedGridError, SchemaError
+from .errors import CertificationError, MisalignedGridError, SchemaError
 from .intlattice import (
     cell_packs,
     cleared_denominators,
     divide_exact,
     hnf_columns,
     integer_inverse,
+    lll_columns,
     mat_det,
+    mat_mul,
+    mat_transpose,
     mat_vec,
     residue,
 )
@@ -398,17 +418,10 @@ def _alias_free_m_values(m_half: Sequence[int], generator: FrameGeneratorField):
     """Central index lists per axis, clipped to one alias period of the grid:
     N nodes on [lo, hi] step by (hi - lo)/N, so the phases λ/a of m and of
     m + a N/(hi - lo) differ by one constant; that period must be an integer."""
-    (lo, hi), = generator.box.region()
     axes = []
     clipped = False
-    for t, (h, n_nodes) in enumerate(zip(m_half, generator.grid_shape)):
-        period = generator.box.a[t] * n_nodes / (hi[t] - lo[t])
-        if period.denominator != 1:
-            raise SchemaError(
-                "verify",
-                f"λ-grid axis {t}: alias period {format_rational(period)} is not an integer",
-            )
-        count = min(2 * h + 1, int(period))
+    for h, period in zip(m_half, alias_periods(generator)):
+        count = min(2 * h + 1, period)
         clipped = clipped or count < 2 * h + 1
         axes.append(list(range(-((count - 1) // 2), count // 2 + 1)))
     return axes, clipped
@@ -478,6 +491,240 @@ def frame_energy_ratio(
         m_clipped=m_clipped,
         skipped_nodes=len(generator.skipped),
         tail_fraction=tail_fraction,
+    )
+
+
+# ---------------------------------------------------------------------------
+# exact-in-k oracle by periodization
+# ---------------------------------------------------------------------------
+
+# most samples one sample set of one fiber may hold; past it CertificationError
+FIBER_SAMPLE_LIMIT = 1_000_000
+# sample offsets in steps along the reduced basis: irrational, so no sample
+# lies on a piece boundary, whose coordinates are rational
+_THETA = (1e-3 * math.sqrt(2), 1e-3 * math.sqrt(3), 1e-3 * math.sqrt(5))
+# a Gaussian test is sampled over its centre +- this many widths per axis
+_BOX_WIDTHS = 10
+# integer work arrays stay below this, well inside int64
+_INT_LIMIT = 2**62
+
+
+class PeriodizedFiber:
+    """Exact-in-k Parseval ratios of one node's fiber Gabor system.
+
+    The system is the CLI's: sqrt(prod a * density) M_Ck T_Tn applied to the
+    normalized window, that is the plain Gabor system of g = scale 1_E with
+    scale^2 = |det C|.  Poisson summation over the dual modulation lattice
+    C^-tr Z^d sums every k at once:
+        sum_k |<f, M_Ck T_Tn g>|^2 = |det C|^-1 mean_u |H_n(u)|^2,
+        H_n(u) = sum_m f(x) 1_E(x - Tn),  x = L (u + m),
+    with L any basis of C^-tr Z^d, u over its unit cell and m over Z^d; the
+    m-sum is taken, so packing is not assumed.  Samples are
+    x = L (j + 1/2 + theta) / N per basis axis, N_j = ceil(2 |L_j| / sigma)
+    for the smallest test width sigma, and only those within 10 widths of a
+    test's centre are enumerated; L is LLL-reduced to keep that set tight.
+    A sample lies in E + Tn exactly when its piece cell c = floor(P^-1 x)
+    equals V + A n for a piece cell V, with A = P^-1 T: the residue of c
+    modulo A Z^d names the piece and c - V = A n names n, so the n-sum is a
+    group-by on (u, c - V).  Cells are found in integer arithmetic and a
+    residue holding several pieces (a broken window) adds each of them.
+    """
+
+    def __init__(self, node: FieldNode):
+        window, lattice = node.window, node.lattice
+        self.lam = node.lam
+        d = window.d
+        self.det_c = abs(float(mat_det(lattice.modulation)))
+        # the wide defect test's width: C^-tr Z^d has cell volume sigma^(2d)
+        self.wide_width = min(self.det_c ** (-1.0 / (2 * d)), 3.0)
+        mod, mod_den = cleared_denominators(lattice.modulation)
+        dual, dual_den = integer_inverse(mat_transpose(mod), mod_den)
+        basis = lll_columns(dual)  # L = basis / dual_den
+        self._basis = np.array(basis, dtype=float) / dual_den
+        self._basis_norms = np.sqrt(np.sum(self._basis**2, axis=0))
+        inv, inv_den = window._shape_inv
+        # P^-1 L, the map from basis coordinates to piece-cell coordinates
+        self._to_cells = [
+            [Fraction(x, inv_den * dual_den) for x in row] for row in mat_mul(inv, basis)
+        ]
+        self._cells = np.array(window.cells, dtype=np.int64).reshape(-1, d).T
+        self._hnf = hnf_columns(window.translation_cells(lattice))
+        radix = [self._hnf[i][i] for i in range(d)]
+        self._res_strides = [math.prod(radix[i + 1 :]) for i in range(d)]
+        # one lookup per layer of pieces sharing a residue: code -> piece or -1
+        self._layers: list[np.ndarray] = []
+        seen: Counter = Counter()
+        for j, v in enumerate(window.cells):
+            code = sum(map(mul, residue(v, self._hnf), self._res_strides))
+            if seen[code] == len(self._layers):
+                self._layers.append(np.full(math.prod(radix), -1, dtype=np.int64))
+            self._layers[seen[code]][code] = j
+            seen[code] += 1
+
+    def _budget_error(self, what: str) -> CertificationError:
+        return CertificationError(
+            f"periodized fiber at λ = ({', '.join(format_rational_vector(self.lam))}): {what}"
+        )
+
+    def ratios(
+        self, tests: Sequence[tuple[Sequence[float], Sequence[float]]]
+    ) -> tuple[list[float], int]:
+        """Fiber energy over squared norm for each Gaussian test
+        exp(-|x - centre|^2 / (2 width^2)) per axis, given as (centres,
+        widths); the tests share one sample set.  Returns the ratios and the
+        sample count.  CertificationError when the set would pass
+        FIBER_SAMPLE_LIMIT or integer coordinates would leave int64."""
+        d = len(self._basis)
+        sigma = min(min(widths) for _, widths in tests)
+        lo = [min(c[a] - _BOX_WIDTHS * w[a] for c, w in tests) for a in range(d)]
+        hi = [max(c[a] + _BOX_WIDTHS * w[a] for c, w in tests) for a in range(d)]
+        steps = [math.ceil(2 * float(n) / sigma) for n in self._basis_norms]
+        fine = self._basis / steps  # the sample lattice's basis
+        origin = fine @ (0.5 + np.array(_THETA[:d]))
+        k = self._box_points(fine, origin, lo, hi)  # (d, samples)
+
+        # piece cells: t = P^-1 x = R (2k + 1 + 2 theta) / 2 with R = num / den,
+        # and 2 R theta lies strictly between two integers
+        num, den = cleared_denominators(
+            [[r / n for r, n in zip(row, steps)] for row in self._to_cells]
+        )
+        shift = [math.floor(2 * sum(map(mul, row, _THETA))) for row in num]
+        k_max = np.abs(k).max(axis=1, initial=0).tolist()
+        if 2 * den >= _INT_LIMIT or any(
+            sum(abs(r) * (2 * m + 1) for r, m in zip(row, k_max)) + abs(s) >= _INT_LIMIT
+            for row, s in zip(num, shift)
+        ):
+            raise self._budget_error("piece cells pass the int64 range")
+        odd = 2 * k + 1
+        cells = np.array([sum(r * o for r, o in zip(row, odd)) + s for row, s in zip(num, shift)])
+        cells //= 2 * den
+
+        # residues modulo A Z^d, then every piece of each residue class
+        res = cells.copy()
+        for j in range(d):
+            q = res[j] // self._hnf[j][j]
+            for i in range(j, d):
+                if self._hnf[i][j]:
+                    res[i] -= q * self._hnf[i][j]
+        codes = sum(r * s for r, s in zip(res, self._res_strides))
+        rows, diffs = [], []
+        for lookup in self._layers:
+            piece = lookup[codes]
+            hit = np.flatnonzero(piece >= 0)
+            rows.append(hit)
+            diffs.append(cells[:, hit] - self._cells[:, piece[hit]])  # = A n
+        rows = np.concatenate(rows)
+        diffs = np.concatenate(diffs, axis=1)
+
+        # group on (u, A n), u by its step index on each basis axis
+        low = diffs.min(axis=1, initial=0)
+        spans = (diffs.max(axis=1, initial=0) - low + 1).tolist()
+        if math.prod(steps) * math.prod(spans) >= _INT_LIMIT:
+            raise self._budget_error("(u, n) keys pass the int64 range")
+        keys = np.zeros(len(rows), dtype=np.int64)
+        for kj, n in zip(k[:, rows], steps):
+            keys *= n
+            keys += kj % n
+        for diff, lo_j, n in zip(diffs, low, spans):
+            keys *= n
+            keys += diff - lo_j
+        _, groups = np.unique(keys, return_inverse=True)
+
+        x = np.einsum("ij,js->is", fine, k[:, rows]) + origin[:, None]
+        out = []
+        for centers, widths in tests:
+            z = (x - np.array(centers)[:, None]) / np.array(widths)[:, None]
+            sums = np.bincount(groups, weights=np.exp(-0.5 * np.einsum("ij,ij->j", z, z)))
+            norm_sq = math.prod(w * math.sqrt(math.pi) for w in widths)
+            out.append(float(sums @ sums) / (self.det_c * math.prod(steps) * norm_sq))
+        return out, k.shape[1]
+
+    def _box_points(self, fine: np.ndarray, origin: np.ndarray, lo, hi) -> np.ndarray:
+        """Integer k with fine @ k + origin in the box [lo, hi], as a
+        (d, samples) array: the first d - 1 coordinates run over the box's
+        bounding range, the last over the exact interval where each of their
+        lines meets the box."""
+        d = len(lo)
+        lo, hi = np.array(lo), np.array(hi)
+        inv = np.linalg.inv(fine)
+        centre = inv @ ((lo + hi) / 2 - origin)
+        reach = np.abs(inv) @ ((hi - lo) / 2)
+        axes = [np.arange(math.ceil(c - r), math.floor(c + r) + 1) for c, r in zip(centre, reach)]
+        prefix_count = math.prod(len(a) for a in axes[:-1])
+        if prefix_count > FIBER_SAMPLE_LIMIT:
+            raise self._budget_error(f"{prefix_count} sample lines, over {FIBER_SAMPLE_LIMIT}")
+        prefixes = np.array(np.meshgrid(*axes[:-1], indexing="ij"), dtype=np.int64)
+        prefixes = prefixes.reshape(d - 1, prefix_count)
+        start = fine[:, :-1] @ prefixes + origin[:, None]
+        step = fine[:, -1]
+        first = np.full(prefixes.shape[1], -np.inf)
+        last = np.full(prefixes.shape[1], np.inf)
+        for a in range(d):
+            if step[a] == 0.0:
+                last[(start[a] < lo[a]) | (start[a] > hi[a])] = -np.inf
+                continue
+            t0 = (lo[a] - start[a]) / step[a]
+            t1 = (hi[a] - start[a]) / step[a]
+            first = np.maximum(first, np.minimum(t0, t1))
+            last = np.minimum(last, np.maximum(t0, t1))
+        first, last = np.ceil(first), np.floor(last)  # first is finite: L is nonsingular
+        counts = np.where(last >= first, last - first + 1, 0).astype(np.int64)
+        first = first.astype(np.int64)
+        total = int(counts.sum())
+        if total > FIBER_SAMPLE_LIMIT:
+            raise self._budget_error(f"{total} samples, over {FIBER_SAMPLE_LIMIT}")
+        line = np.repeat(np.arange(len(counts)), counts)
+        along = first[line] + np.arange(total) - (np.cumsum(counts) - counts)[line]
+        return np.vstack([prefixes[:, line], along])
+
+
+def alias_periods(generator: FrameGeneratorField) -> list[int]:
+    """The λ-grid's alias period per central axis, a N/(hi - lo) for N nodes
+    on [lo, hi]: the central indices m and m + period give the same phases
+    λ/a on the grid.  A period that is not an integer raises SchemaError."""
+    (lo, hi), = generator.box.region()
+    periods = []
+    for t, n_nodes in enumerate(generator.grid_shape):
+        period = generator.box.a[t] * n_nodes / (hi[t] - lo[t])
+        if period.denominator != 1:
+            raise SchemaError(
+                "verify",
+                f"λ-grid axis {t}: alias period {format_rational(period)} is not an integer",
+            )
+        periods.append(int(period))
+    return periods
+
+
+def periodized_frame_ratio(
+    generator: FrameGeneratorField,
+    spectral_profile: Callable[[np.ndarray], float],
+    widths: Sequence[float],
+    fiber_ratios: Sequence[float],
+) -> RatioReport:
+    """Frame energy ratio of the field amp(λ) f(x), f a Gaussian of the
+    given widths, from its exact fiber ratios r_λ at the usable nodes.
+
+    Over one whole alias period of the central indices the λ-grid's
+    exponential family is orthogonal, so the frame energy is the
+    density-weighted sum of fiber energies and the ratio is
+    sum rho |amp|^2 r_λ / sum rho |amp|^2; a fractional period raises
+    SchemaError.  Nothing is truncated: ``tail_fraction`` is 0 and
+    ``m_clipped`` False."""
+    alias_periods(generator)
+    scale = float(generator.cell_volume) * math.prod(w * math.sqrt(math.pi) for w in widths)
+    weights = [
+        node.density * spectral_profile(np.array([float(x) for x in node.lam])) ** 2
+        for node in generator.nodes
+    ]
+    norm_sq = scale * sum(weights)
+    energy = scale * sum(w * r for w, r in zip(weights, fiber_ratios))
+    return RatioReport(
+        ratio=energy / norm_sq,
+        energy=energy,
+        norm_sq=norm_sq,
+        m_clipped=False,
+        skipped_nodes=len(generator.skipped),
+        tail_fraction=0.0,
     )
 
 

@@ -231,18 +231,82 @@ class TestRunCommand:
         assert lines[0] == "lam,defect"
         assert len(lines) >= 2
 
-    def test_verify_zero_truncation_fails(self):
+    def test_verify_truncation_keys_leave_the_exact_oracle_alone(self):
+        # the x-grid and truncation keys configure only the library's
+        # truncated oracle: they still parse and range-check, and the exact
+        # verify stage reports the same with zero truncations
+        base, _ = run_command("verify", parse_config(desk_config_doc()))
         doc = desk_config_doc()
-        doc["verification"] = {
-            "lam_grid": [16],
-            "m_half": [0],
-            "k_half": [0],
-            "n_half": [0],
+        doc["verification"].update(
+            m_half=[0], k_half=[0], n_half=[0], points_per_cell=[1], cells_before=[0], cells_after=[1]
+        )
+        report, code = run_command("verify", parse_config(doc))
+        assert code == EXIT_PASS
+        assert report["verification"] == base["verification"]
+        least_values = {
+            "m_half": 0, "k_half": 0, "n_half": 0, "points_per_cell": 1, "cells_before": 0, "cells_after": 1
         }
-        config = parse_config(doc)
-        report, code = run_command("verify", config)
+        for key, least in least_values.items():
+            bad = desk_config_doc()
+            bad["verification"][key] = [least - 1]
+            with pytest.raises(SchemaError) as err:
+                parse_config(bad)
+            assert err.value.field == f"verification.{key}"
+
+    def test_verify_example2_passes(self):
+        # the exact oracle sees the 20 example2 windows as Parseval: every
+        # fiber of every test, and every frame ratio, within rounding of one
+        report, code = run_command("verify", parse_config(fixture_path("example2.json")))
+        assert code == EXIT_PASS
+        verification = report["verification"]
+        assert verification["tiling"]["passed"]
+        assert verification["fiber_defects"]["probed_nodes"] == 20
+        assert verification["fiber_defects"]["max"] <= 1e-12
+        assert "worst" not in verification["fiber_defects"]
+        for ratio in verification["frame_ratios"]:
+            assert abs(ratio["ratio"] - 1.0) <= 1e-12
+            assert ratio["tail_fraction"] == 0.0
+
+    def test_verify_sample_budget_exit_4(self, monkeypatch):
+        # a fiber whose sample set would pass the budget ends the stage in a
+        # certification error, with the earlier sections kept
+        import nilframe.verify as verify
+
+        monkeypatch.setattr(verify, "FIBER_SAMPLE_LIMIT", 10)
+        report, code = run_command("verify", parse_config(fixture_path("heisenberg.json")))
+        assert code == EXIT_CERTIFICATION
+        assert report["error"]["type"] == "certification"
+        assert "over 10" in report["error"]["message"]
+        assert "synthesis" in report and "verification" not in report
+
+    def test_verify_names_the_worst_fiber(self, monkeypatch):
+        # the 28-piece window at λ = (3/4, 11/4) loses its last piece: the
+        # report names that fiber and the wide test, which sees the gap
+        from dataclasses import replace
+
+        import nilframe.cli as cli
+
+        real = cli.build_generator_field
+
+        def broken_field(*args, **kwargs):
+            field = real(*args, **kwargs)
+            nodes = tuple(
+                replace(n, window=replace(n.window, offsets=n.window.offsets[:-1]))
+                if n.lam == (Fraction(3, 4), Fraction(11, 4)) else n
+                for n in field.nodes
+            )
+            return replace(field, nodes=nodes)
+
+        monkeypatch.setattr(cli, "build_generator_field", broken_field)
+        report, code = run_command("verify", parse_config(fixture_path("example2.json")))
         assert code == EXIT_CONDITION
-        assert report["verification"]["frame_ratios"][0]["ratio"] < 1.0
+        verification = report["verification"]
+        assert not verification["tiling"]["passed"]
+        worst = verification["fiber_defects"]["worst"]
+        assert worst["lam"] == ["3/4", "11/4"]
+        assert worst["test"] == "wide"
+        assert worst["ratio"] == pytest.approx(0.9613, abs=1e-4)
+        assert verification["fiber_defects"]["max"] == pytest.approx(1.0 - worst["ratio"], rel=1e-12)
 
     def test_verify_sub_box_grid_aliases_with_its_period(self):
         # 16 nodes on [1/4, 3/4] of the unit box step by 1/32: the central
@@ -266,16 +330,14 @@ class TestRunCommand:
         import nilframe.cli as cli
 
         profiles = []
-        real = cli.make_test_field
+        real = cli.bump_profile
 
         def recording(*args, **kwargs):
-            profiles.append(kwargs["spectral_profile"])
-            return real(*args, **kwargs)
+            profiles.append(real(*args, **kwargs))
+            return profiles[-1]
 
-        monkeypatch.setattr(cli, "make_test_field", recording)
-        doc = json.loads(fixture_path("example2.json").read_text())
-        doc["verification"].update(points_per_cell=[8, 8], k_half=[1, 1], n_half=[1, 1])
-        run_command("verify", parse_config(doc))
+        monkeypatch.setattr(cli, "bump_profile", recording)
+        run_command("verify", parse_config(fixture_path("example2.json")))
         assert len(profiles) == 3
         for i, profile in enumerate(profiles):
             centre = [2 * (45 + 7 * i) / 100, 3 * (45 + 7 * i) / 100]
@@ -437,15 +499,6 @@ class TestMainEntry:
         assert code == EXIT_PASS
         assert json.loads(out.read_text())["command"] == "analyze"
 
-    def test_main_trunc_override(self, tmp_path, capsys):
-        # the truncation half-widths are set in the config, the one source
-        doc = desk_config_doc()
-        doc["verification"].update(m_half=[0], k_half=[0], n_half=[0])
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(doc))
-        code = main(["verify", "--config", str(cfg)])
-        assert code == EXIT_CONDITION
-
     def test_main_verify_without_usable_nodes_exit_3(self, tmp_path, capsys):
         # the one λ-node (1/2, 1/2) lies on the zero set of l1^2 - l2^2
         cfg = tmp_path / "c.json"
@@ -594,7 +647,7 @@ class TestMainEntry:
         def misaligned(*args, **kwargs):
             raise MisalignedGridError("grid step does not divide the translations")
 
-        monkeypatch.setattr(cli, "make_aligned_grid", misaligned)
+        monkeypatch.setattr(cli, "PeriodizedFiber", misaligned)
         code = main(["verify", "--config", HEISENBERG])
         assert code == EXIT_INPUT
         report = json.loads(capsys.readouterr().out)

@@ -9,11 +9,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from nilframe.errors import SchemaError
+from nilframe.errors import CertificationError, SchemaError
 from nilframe.lattice import QuasiLatticeParams
 from nilframe.spectral import SpectrumBox
+from nilframe import verify
 from nilframe.verify import (
     BandlimitedField,
+    PeriodizedFiber,
     TruncationSpec,
     _modulated_pairings,
     _phase_tables,
@@ -25,12 +27,13 @@ from nilframe.verify import (
     gram_orthonormality_check,
     make_aligned_grid,
     make_test_field,
+    periodized_frame_ratio,
     sample_window,
     window_tiling_check,
 )
 from nilframe.windows import FieldNode, build_generator_field, synthesize_window
 
-from conftest import mat_inv
+from conftest import EXAMPLE2_DOC, EXAMPLE3_DOC, HEISENBERG_DOC, mat_inv
 
 
 def F(*args):
@@ -482,20 +485,22 @@ class TestWindowTilingCheck:
         assert rep.max_packing_count >= 2
 
 
+@pytest.fixture(scope="module")
+def fiber():
+    """The 28-piece example2 window at lam = (3/4, 11/4) and its lattice."""
+    from conftest import EXAMPLE2_DOC
+    from nilframe.algebra import load_spec
+    from nilframe.lattice import fiber_lattice
+
+    p = QuasiLatticeParams(a=(F(2), F(3)), q=(F(1), F(1)), b=(F(3), F(3)))
+    lat = fiber_lattice(load_spec(EXAMPLE2_DOC, label="example2"), p, (F(3, 4), F(11, 4)))
+    window = synthesize_window(lat)
+    assert window.piece_count == 28
+    return window, lat
+
+
 class TestTilingCertificateMutations:
     """One piece of the 28-piece example2 window at lam = (3/4, 11/4), moved."""
-
-    @pytest.fixture(scope="class")
-    def fiber(self):
-        from conftest import EXAMPLE2_DOC
-        from nilframe.algebra import load_spec
-        from nilframe.lattice import fiber_lattice
-
-        p = QuasiLatticeParams(a=(F(2), F(3)), q=(F(1), F(1)), b=(F(3), F(3)))
-        lat = fiber_lattice(load_spec(EXAMPLE2_DOC, label="example2"), p, (F(3, 4), F(11, 4)))
-        window = synthesize_window(lat)
-        assert window.piece_count == 28
-        return window, lat
 
     @staticmethod
     def moved(window, step):
@@ -594,6 +599,109 @@ class TestTilingCertificateMutations:
             got, want = gram.entry(g1, g2), ref.entry(g1, g2)
             assert abs(want) > 1e-3
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def defect_tests(fiber, b):
+    """The narrow and the wide Gaussian defect test of the CLI: centred at
+    0.5/b, widths 0.08/b and the fiber's wide width."""
+    centres = [0.5 / float(x) for x in b]
+    return (centres, [0.08 / float(x) for x in b]), (centres, [fiber.wide_width] * len(b))
+
+
+def exact_ratios(node, b):
+    """(narrow, wide) exact fiber ratios of a node."""
+    fiber = PeriodizedFiber(node)
+    return tuple(fiber.ratios([test])[0][0] for test in defect_tests(fiber, b))
+
+
+class TestPeriodizedFiber:
+    """The exact-in-k oracle: synthesized fibers are Parseval to rounding, and
+    its wide test catches the broken windows that its narrow test misses."""
+
+    @pytest.mark.parametrize(
+        "doc, a, b, grid, role, nodes",
+        [
+            (HEISENBERG_DOC, ["1"], ["1"], [16], "frame", 16),
+            (EXAMPLE2_DOC, ["2", "3"], ["3", "3"], [4, 6], "frame", 20),
+            (EXAMPLE3_DOC, ["1"] * 3, ["1"] * 3, [3, 3, 3], "wavelet", 24),
+        ],
+        ids=["heisenberg", "example2", "example3-wavelet"],
+    )
+    def test_every_fiber_is_parseval(self, doc, a, b, grid, role, nodes):
+        from nilframe.algebra import load_spec
+
+        params = QuasiLatticeParams(
+            a=tuple(map(F, a)), q=(F(1),) * len(b), b=tuple(map(F, b))
+        )
+        field = build_generator_field(
+            load_spec(doc), params, SpectrumBox(a=tuple(map(F, a))), grid_shape=grid, role=role
+        )
+        assert len(field.nodes) == nodes
+        for node in field.nodes:
+            for ratio in exact_ratios(node, params.b):
+                assert abs(ratio - 1.0) <= 1e-12, node.lam
+
+    def test_broken_windows_fail_the_wide_test_only(self, fiber):
+        # a deleted, a duplicated and a moved piece (moved by a translation
+        # column, which breaks packing); the wide ratio is off by 4-13 %
+        window, lat = fiber
+        col = [row[0] for row in lat.translation]
+        moved = tuple(o + t for o, t in zip(window.offsets[1], col))
+        cases = [
+            (window.offsets[:-1], (0.955, 0.965)),
+            (window.offsets + window.offsets[:1], (1.1, 1.15)),
+            (window.offsets[:1] + (moved,) + window.offsets[2:], (1.04, 1.09)),
+        ]
+        for name, (offsets, (low, high)) in zip(("deleted", "duplicated", "moved"), cases):
+            broken = replace(window, offsets=offsets)
+            assert not window_tiling_check([(broken, lat)]).passed
+            node = FieldNode(lam=lat.lam, window=broken, normalization=1.0, lattice=lat)
+            narrow, wide = exact_ratios(node, (F(3), F(3)))
+            assert low <= wide <= high, (name, wide)
+            # the narrow test alone misses every one of them
+            assert abs(narrow - 1.0) <= 1e-9, (name, narrow)
+
+    def test_wide_test_agrees_with_the_tiling_certificate(self, fiber):
+        # each of the first 10 pieces moved by either translation column:
+        # the wide ratio is 1 exactly where the window still certifies
+        window, lat = fiber
+        verdicts = []
+        for j in range(2):
+            col = [row[j] for row in lat.translation]
+            for i in range(10):
+                moved = tuple(o + t for o, t in zip(window.offsets[i], col))
+                offsets = window.offsets[:i] + (moved,) + window.offsets[i + 1 :]
+                broken = replace(window, offsets=offsets)
+                node = FieldNode(lam=lat.lam, window=broken, normalization=1.0, lattice=lat)
+                wide = exact_ratios(node, (F(3), F(3)))[1]
+                certified = window_tiling_check([(broken, lat)]).passed
+                verdicts.append(certified)
+                assert (abs(wide - 1.0) <= 1e-12) == certified, (i, j, wide)
+        assert verdicts.count(True) == 8
+
+    def test_sample_limit_raises(self, fiber, monkeypatch):
+        window, lat = fiber
+        node = FieldNode(lam=lat.lam, window=window, normalization=1.0, lattice=lat)
+        monkeypatch.setattr(verify, "FIBER_SAMPLE_LIMIT", 100)
+        fiber_oracle = PeriodizedFiber(node)
+        with pytest.raises(CertificationError) as err:
+            fiber_oracle.ratios([defect_tests(fiber_oracle, (F(3), F(3)))[1]])
+        assert "3/4, 11/4" in str(err.value)
+        assert "over 100" in str(err.value)
+
+    def test_truncated_energy_below_the_exact_one(self, desk_field, psi):
+        # psi = bump(λ) gaussian(x); the truncated run misses what lies
+        # beyond its k, n range, and no more than its last shell holds
+        trunc = TruncationSpec((32,), (16,), (16,))
+        truncated = frame_energy_ratio(psi, desk_field, trunc)
+        fiber_ratios = [
+            PeriodizedFiber(node).ratios([([0.45], [0.07])])[0][0] for node in desk_field.nodes
+        ]
+        exact = periodized_frame_ratio(desk_field, bump_profile(0.55, 0.12), [0.07], fiber_ratios)
+        assert exact.ratio == pytest.approx(1.0, abs=1e-12)
+        assert exact.tail_fraction == 0.0 and not exact.m_clipped
+        assert truncated.energy <= exact.energy
+        assert exact.energy - truncated.energy <= truncated.tail_fraction * truncated.energy
 
 
 class TestTwoDimensionalFiber:
