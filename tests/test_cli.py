@@ -231,21 +231,67 @@ class TestRunCommand:
         assert lines[0] == "lam,defect"
         assert len(lines) >= 2
 
-    def test_verify_truncation_keys_leave_the_exact_oracle_alone(self):
-        # the x-grid and truncation keys configure only the library's
-        # truncated oracle: they still parse and range-check, and the exact
-        # verify stage reports the same with zero truncations
-        base, _ = run_command("verify", parse_config(desk_config_doc()))
-        doc = desk_config_doc()
-        doc["verification"].update(
-            m_half=[0], k_half=[0], n_half=[0], points_per_cell=[1], cells_before=[0], cells_after=[1]
+    def test_verify_zero_truncation_fails(self, monkeypatch):
+        # zero truncations fail the library's truncated oracle (ratio < 1),
+        # but the exact verify stage does not read them: it exits 0 with the
+        # same report as the default run
+        import nilframe.cli as cli
+        from nilframe.verify import (
+            TruncationSpec,
+            bump_profile,
+            frame_energy_ratio,
+            gaussian_profile,
+            make_aligned_grid,
+            make_test_field,
         )
-        report, code = run_command("verify", parse_config(doc))
+
+        base, _ = run_command("verify", parse_config(desk_config_doc()))
+        fields = []
+        real = cli.build_generator_field
+
+        def capturing(*args, **kwargs):
+            fields.append(real(*args, **kwargs))
+            return fields[-1]
+
+        monkeypatch.setattr(cli, "build_generator_field", capturing)
+        doc = desk_config_doc()
+        doc["verification"].update(m_half=[0], k_half=[0], n_half=[0])
+        config = parse_config(doc)
+        report, code = run_command("verify", config)
         assert code == EXIT_PASS
         assert report["verification"] == base["verification"]
+
+        # field 0 of the truncated oracle, at the config's truncations
+        field, = fields
+        ver = config.verification
+        b = field.params.b
+        x_grid = make_aligned_grid(b, ver.cells_before, ver.cells_after, ver.points_per_cell)
+        (lo, hi), = field.box.region()
+        psi = make_test_field(
+            field,
+            x_grid,
+            spectral_profile=bump_profile(
+                [float(l + (h - l) * Fraction(45, 100)) for l, h in zip(lo, hi)],
+                [0.1 * float(h - l) for l, h in zip(lo, hi)],
+            ),
+            space_profile=gaussian_profile([0.5 / float(x) for x in b], [0.08 / float(x) for x in b]),
+        )
+        trunc = TruncationSpec(m_half=ver.m_half, k_half=ver.k_half, n_half=ver.n_half)
+        assert frame_energy_ratio(psi, field, trunc).ratio < 1.0
+
+    def test_verify_truncation_keys_still_range_check(self):
+        # the x-grid and truncation keys configure only the library's
+        # truncated oracle, and still parse and range-check; their least
+        # values leave the exact verify stage's report as the default run's
+        base, _ = run_command("verify", parse_config(desk_config_doc()))
         least_values = {
             "m_half": 0, "k_half": 0, "n_half": 0, "points_per_cell": 1, "cells_before": 0, "cells_after": 1
         }
+        doc = desk_config_doc()
+        doc["verification"].update({key: [least] for key, least in least_values.items()})
+        report, code = run_command("verify", parse_config(doc))
+        assert code == EXIT_PASS
+        assert report["verification"] == base["verification"]
         for key, least in least_values.items():
             bad = desk_config_doc()
             bad["verification"][key] = [least - 1]
@@ -498,6 +544,21 @@ class TestMainEntry:
         code = main(["analyze", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_PASS
         assert json.loads(out.read_text())["command"] == "analyze"
+
+    def test_main_trunc_override(self, tmp_path, capsys):
+        # the truncation half-widths are set in the config, the one source;
+        # the exact verify stage reads none of them, so zero truncations
+        # print the same verification section as the default config
+        sections = []
+        for trunc in ({}, {"m_half": [0], "k_half": [0], "n_half": [0]}):
+            doc = desk_config_doc()
+            doc["verification"].update(trunc)
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(doc))
+            code = main(["verify", "--config", str(cfg)])
+            assert code == EXIT_PASS
+            sections.append(json.loads(capsys.readouterr().out)["verification"])
+        assert sections[0] == sections[1]
 
     def test_main_verify_without_usable_nodes_exit_3(self, tmp_path, capsys):
         # the one λ-node (1/2, 1/2) lies on the zero set of l1^2 - l2^2
