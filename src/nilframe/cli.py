@@ -407,7 +407,9 @@ def canonical_json(doc: dict) -> str:
 
     json indents in pure Python, one small chunk per token; this writer
     appends the same text straight to one list.  The indent and separator
-    strings are shared per depth, and a list of strings is joined at once.
+    strings are shared per depth, and a list of strings is joined at once,
+    and only once per depth for a list object that the document shares
+    (a window's shape, one list for all its pieces).
     Scalars print as json prints them (``int.__repr__``, ``float.__repr__``;
     NaN and the infinities raise ValueError), dictionaries go out sorted by
     key, and keys that are not strings are coerced as json coerces them.
@@ -417,6 +419,10 @@ def canonical_json(doc: dict) -> str:
     newlines = ["\n"]  # newlines[k]: a line break and the indent of depth k
     separators = [",\n"]  # separators[k]: the comma between items at depth k
     key_texts: dict[str, str] = {}
+    # joined[k]: the joined items of each all-string list whose items sit at
+    # depth k, by the list's id; the document is alive and unchanged while it
+    # is written, so an id names one list
+    joined: list[dict[int, str]] = [{}]
 
     def write(value, depth: int) -> None:
         if isinstance(value, str):
@@ -440,6 +446,7 @@ def canonical_json(doc: dict) -> str:
             if inner == len(newlines):
                 newlines.append(newlines[-1] + "  ")
                 separators.append("," + newlines[-1])
+                joined.append({})
             separator = separators[inner]
             is_dict = isinstance(value, dict)
             append("{" if is_dict else "[")
@@ -453,13 +460,18 @@ def canonical_json(doc: dict) -> str:
                     else:
                         append(_json_string(_json_key(key)) + ": ")
                     write(item, inner)
-            elif all(isinstance(item, str) for item in value):
-                append(separator.join(map(_json_string, value)))
             else:
-                for i, item in enumerate(value):
-                    if i:
-                        append(separator)
-                    write(item, inner)
+                texts = joined[inner]
+                text = texts.get(id(value))
+                if text is None and all(isinstance(item, str) for item in value):
+                    text = texts[id(value)] = separator.join(map(_json_string, value))
+                if text is not None:
+                    append(text)
+                else:
+                    for i, item in enumerate(value):
+                        if i:
+                            append(separator)
+                        write(item, inner)
             append(newlines[depth])
             append("}" if is_dict else "]")
 

@@ -263,22 +263,21 @@ class _ScaledPoly:
         ) = compile_kernels(self.nvars, tuple(monos), lcm)
 
     def model_bracket_num(
-        self, lo_num, hi_num, k, depth: int, rho: int, threshold: Fraction | None = None
+        self, lo_num, hi_num, k, half, volume, depth: int, rho: int, threshold=None
     ) -> tuple[int, int]:
         """The second-order bracket: integers (lower, upper) around the
         integral of |P| over the dyadic box, or over its part where
         |p| <= threshold, as numerators over den * int_lcm * thr_den *
         2**(depth*int_exp) for a depth > k, with thr_den = 1 without a
-        threshold; rho is ``remainder_num`` of the box.  Without a threshold
-        it is the exact integral of |L| for the linear model L, plus or minus
-        rho times the volume; with one, the exact integrals of g_lo(L) and
-        g_hi(L) (``_sublevel_terms``).  Both are rounded outward.
+        threshold; half is the box's hi_num - lo_num, volume prod(2 half) and
+        rho its ``remainder_num``.  Without a threshold it is the exact
+        integral of |L| for the linear model L, plus or minus rho times the
+        volume; with one, the exact integrals of g_lo(L) and g_hi(L)
+        (``_sublevel_terms``).  Both are rounded outward.
         """
-        half = [h - l for l, h in zip(lo_num, hi_num)]
-        volume = math.prod(2 * w for w in half)
         if threshold is None:
             q0, q = self.linear_model(lo_num, hi_num, k)
-            num, den = _abs_linear_integral(q0, q, half)
+            num, den = _abs_linear_integral(q0, q, half, volume)
             spread = rho * volume * den
             lower, upper = num - spread, num + spread
         else:
@@ -343,26 +342,23 @@ def _truncated_power_integral(q0, q, half, *term_lists) -> tuple:
     term whose breakpoint a lies outside the open range of L is a polynomial
     on the box: 0 above it, and (q0 - a)^m times the volume below it.  With
     n = 0 the integrand is constant and (x)_+^0 is read as stated.  The
-    lists share the vertices and every (a, m) they have in common.  Exact
-    for integers and Fractions alike.
+    lists share the vertices.  Exact for integers and Fractions alike.
     """
     active = []
     flat = 1
-    den = 1
+    den = 1  # prod q_i times (n+1)!, the common denominator of m!/(m+n)!
     reach = 0
     for qi, w in zip(q, half):
         if qi:
             active.append((qi, w))
-            den *= qi
+            den *= qi * (len(active) + 1)
             reach += abs(qi) * w
         else:
             flat *= 2 * w
     n = len(active)
-    den *= math.factorial(n + 1)
     top = q0 + reach
     bottom = q0 - reach
     vertices = None
-    parts: dict = {}  # vertex sums by (a, m), over the common (n+1)! of m!/(m+n)!
     nums = []
     for terms in term_lists:
         below = 0  # terms polynomial on the box, over the volume
@@ -373,25 +369,20 @@ def _truncated_power_integral(q0, q, half, *term_lists) -> tuple:
             if a <= bottom:
                 below += c * (q0 - a) if m else c
                 continue
-            part = parts.get((a, m))
-            if part is None:
-                if vertices is None:
-                    # (prod s_i, L(v)) over the vertices, one axis at a time
-                    vertices = [(1, q0)]
-                    for qi, w in active:
-                        step = qi * w
-                        vertices = [(-s, x - step) for s, x in vertices] + [
-                            (s, x + step) for s, x in vertices
-                        ]
-                e = m + n
-                part = 0
-                for sign, value in vertices:
-                    if value > a:
-                        part += sign * (value - a) ** e
-                if not m:
-                    part *= n + 1
-                parts[(a, m)] = part
-            pos += c * part
+            if vertices is None:
+                # (prod s_i, L(v)) over the vertices, one axis at a time
+                vertices = [(1, q0)]
+                for qi, w in active:
+                    step = qi * w
+                    vertices = [(-s, x - step) for s, x in vertices] + [
+                        (s, x + step) for s, x in vertices
+                    ]
+            e = m + n
+            part = 0
+            for sign, value in vertices:
+                if value > a:
+                    part += sign * (value - a) ** e
+            pos += c * part if m else c * (n + 1) * part
         num = flat * pos
         if below:
             num += below * den * flat * math.prod(2 * w for _, w in active)
@@ -399,12 +390,13 @@ def _truncated_power_integral(q0, q, half, *term_lists) -> tuple:
     return nums, abs(den)
 
 
-def _abs_linear_integral(q0, q, half) -> tuple:
+def _abs_linear_integral(q0, q, half, volume=None) -> tuple:
     """Exact integral of |q0 + q.v| over the box prod [-half_i, half_i], as
     (num, den) with den > 0: 2 int(L_+) - int(L), with int(L) = q0 times the
-    volume on the centered box."""
+    volume prod 2 half_i on the centered box (computed unless given)."""
+    volume = math.prod(2 * w for w in half) if volume is None else volume
     (num,), den = _truncated_power_integral(q0, q, half, ((2, 0, 1),))
-    return num - q0 * math.prod(2 * w for w in half) * den, den
+    return num - q0 * volume * den, den
 
 
 def _sublevel_terms(thr, rho) -> tuple:
@@ -446,15 +438,25 @@ def _sublevel_g(s, thr, rho) -> tuple:
 
 
 def _split_box(lo, hi, k):
-    """Bisect the longest axis; children live at depth k+1."""
-    widths = [h - l for l, h in zip(lo, hi)]
-    axis = widths.index(max(widths))
-    lo2 = tuple(x * 2 for x in lo)
-    hi2 = tuple(x * 2 for x in hi)
-    mid = lo2[axis] + widths[axis]
-    a_hi = tuple(mid if i == axis else hi2[i] for i in range(len(hi2)))
-    b_lo = tuple(mid if i == axis else lo2[i] for i in range(len(lo2)))
+    """Bisect axis k mod d, which is the first longest axis of every
+    refinement box at depth k (``_depth_geometry``); children live at depth k+1."""
+    axis = k % len(lo)
+    mid = lo[axis] + hi[axis]
+    lo2 = tuple([x * 2 for x in lo])
+    hi2 = tuple([x * 2 for x in hi])
+    a_hi = hi2[:axis] + (mid,) + hi2[axis + 1 :]
+    b_lo = lo2[:axis] + (mid,) + lo2[axis + 1 :]
     return (lo2, a_hi, k + 1), (b_lo, hi2, k + 1)
+
+
+def _depth_geometry(k: int, d: int) -> tuple:
+    """(half, cells, share, volume) of every refinement box at depth k: from
+    the unit cube, each split doubles the corners and halves axis k mod d, so
+    axis i is half_i = (1 << k) >> ((k - i + d - 1) // d) wide (the model's
+    half-width); cells = prod half, share = cells / float(2**(k d)), volume = 2**d cells."""
+    half = tuple((1 << k) >> ((k - i + d - 1) // d) for i in range(d))
+    cells = math.prod(half)
+    return half, cells, cells / float(1 << (k * d)), cells << d
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +643,7 @@ class MeasureResult:
             "converged": self.certificate.converged,
         }
         if self.witness_box is not None:
-            out["witness_box"] = [
-                [format_rational(x) for x in self.witness_box[0]],
-                [format_rational(x) for x in self.witness_box[1]],
-            ]
+            out["witness_box"] = [[format_rational(x) for x in c] for c in self.witness_box]
         return out
 
 
@@ -672,19 +671,22 @@ def spectral_measure(
     threshold 1{threshold - rho < |s| <= threshold + rho}, both integrated
     exactly as sums of truncated powers of L.
 
-    The box with the widest float width is refined first, until the widths
-    sum to at most 0.6 tol: in sublevel mode the width of the box's exact
-    bracket, computed when the box is pushed; in plain mode the smaller of
-    the first- and second-order widths, and the exact bracket waits for the
-    closing sweep, which most plain boxes never reach.  Exact integrals and
-    brackets are summed as integer numerators per region and depth
-    (second-order brackets rounded outward onto the dyadic grid of the next
-    depth), and become one Fraction per region at the end, so float rounding
-    can never corrupt the certificate; ``converged`` compares that exact
-    width with tol.  On budget exhaustion the bracket is still valid: a
-    plain measure raises CertificationError, and a sublevel measure returns
-    the wide bracket with ``converged`` false, so a sublevel caller that
-    needs the tolerance met checks ``certificate.converged`` itself.
+    Refinement bisects boxes from the unit cube of each region, so every box
+    at depth k has one shape, read from a table grown with the depth
+    (``_depth_geometry``).  The box with the widest float width is refined
+    first, until the widths sum to at most 0.6 tol: in sublevel mode the
+    width of the box's exact bracket, computed when the box is pushed; in
+    plain mode the smaller of the first- and second-order widths, and the
+    exact bracket waits for the closing sweep, which most plain boxes never
+    reach.  Exact integrals and brackets are summed as integer numerators
+    per region and depth (second-order brackets rounded outward onto the
+    dyadic grid of the next depth), and become one Fraction per region at
+    the end, so float rounding can never corrupt the certificate;
+    ``converged`` compares that exact width with tol.  On budget exhaustion
+    the bracket is still valid: a plain measure raises CertificationError,
+    and a sublevel measure returns the wide bracket with ``converged``
+    false, so a sublevel caller that needs the tolerance met checks
+    ``certificate.converged`` itself.
     """
     tol_frac = certified_tol(tol)
     if tol_frac <= 0:
@@ -705,8 +707,9 @@ def spectral_measure(
 
     witness: tuple | None = None
     boxes_processed = 0
-    max_depth = 0
     counter = 0
+    # geometry[k]: the shape of every box at depth k; len(geometry) - 1 is the depth
+    geometry = [_depth_geometry(0, nv)]
     # open boxes: (-width, counter, ridx, lo, hi, k, mn, mx, se, rho, bracket),
     # bracket the box's exact (depth, lower, upper) from ``box_bracket``, or
     # None for a plain box until the closing sweep
@@ -723,9 +726,10 @@ def spectral_measure(
         (all of plain mode) and [0, vol min(threshold, max|p|)] across it,
         intersected with the second-order one."""
         scaled = scaled_list[ridx]
+        half, cells, _, volume = geometry[k]
         # dyadic box volume over 2**(k*nvars), times int_lcm, takes bounds over
         # den * 2**se onto the integral denominator
-        vol = scaled.int_lcm * math.prod(h - l for l, h in zip(lo_num, hi_num))
+        vol = scaled.int_lcm * cells
         rhs = None if threshold is None else threshold.numerator * scaled.den << se
         if rhs is None or (mx * thr_den <= rhs and mn * thr_den >= -rhs):
             lb = abs(scaled.integral_num(lo_num, hi_num, k))
@@ -735,16 +739,15 @@ def spectral_measure(
             lower = 0
             upper = vol * min(rhs, max(mx, -mn) * thr_den)
         depth = max(k + 1, fine[ridx])
-        lo2, hi2 = scaled.model_bracket_num(lo_num, hi_num, k, depth, rho, threshold)
+        lo2, hi2 = scaled.model_bracket_num(lo_num, hi_num, k, half, volume, depth, rho, threshold)
         shift = (depth - k) * scaled.int_exp
         return depth, max(lower << shift, lo2), min(upper << shift, hi2)
 
     def push(ridx, lo_num, hi_num, k):
         """Classify a dyadic box; integer bound arithmetic, float width."""
-        nonlocal witness, counter, total_width, max_depth
+        nonlocal witness, counter, total_width
         scaled = scaled_list[ridx]
         mn, mx, se = scaled.bounds(lo_num, hi_num, k)
-        max_depth = max(max_depth, k)
         # |p| <= threshold where |P| * thr_den <= rhs, on integers
         rhs = None if threshold is None else threshold.numerator * scaled.den << se
         if rhs is not None and (mn * thr_den > rhs or mx * thr_den < -rhs):
@@ -752,7 +755,11 @@ def spectral_measure(
         inside = rhs is None or (mx * thr_den <= rhs and mn * thr_den >= -rhs)
         if inside and (mn >= 0 or mx <= 0):
             if threshold is not None and witness is None and (mn > 0 or mx < 0):
-                witness = _to_region_box(regions, ridx, lo_num, hi_num, k)
+                rlo, rhi = regions[ridx]
+                witness = tuple(
+                    tuple(l + (h - l) * Fraction(c, 1 << k) for l, h, c in zip(rlo, rhi, corner))
+                    for corner in (lo_num, hi_num)
+                )
             iv = scaled.integral_num(lo_num, hi_num, k)
             acc = resolved[ridx]
             acc[k] = acc.get(k, 0) + (iv if mn >= 0 else -iv)
@@ -763,8 +770,7 @@ def spectral_measure(
         if threshold is None:
             # straddling: bracket width is at most 2 vol min(mx, -mn), and at
             # most 2 vol rho for the linear model's remainder rho
-            cells = math.prod(h - l for l, h in zip(lo_num, hi_num))
-            vol_f = volume_f[ridx] * (cells / float(1 << (k * nv)))
+            vol_f = volume_f[ridx] * geometry[k][2]
             w = vol_f * 2.0 * (min(mx, -mn) / (float(scaled.den) * float(1 << se)))
             w = min(w, vol_f * 2.0 * (rho / (scaled.den << (se + scaled.deg_total))))
         else:
@@ -787,6 +793,8 @@ def spectral_measure(
         total_width += entry[0]
         boxes_processed += 1
         ridx, lo_num, hi_num, k = entry[2:6]
+        if k + 1 == len(geometry):
+            geometry.append(_depth_geometry(k + 1, nv))
         for clo, chi, ck in _split_box(lo_num, hi_num, k):
             push(ridx, clo, chi, ck)
 
@@ -808,7 +816,7 @@ def spectral_measure(
         upper += _sum_depths(hi_acc, scaled.int_exp, den) * scaled.box_volume
 
     converged = (upper - lower) <= tol_frac
-    cert = MeasureCertificate(boxes=boxes_processed, depth=max_depth, converged=converged)
+    cert = MeasureCertificate(boxes=boxes_processed, depth=len(geometry) - 1, converged=converged)
     result = MeasureResult(
         value=float((lower + upper) / 2),
         lower=lower,
@@ -831,11 +839,3 @@ def _sum_depths(acc: dict[int, int], exp: int, den: int) -> Fraction:
     deepest = max(acc)
     num = sum(v << ((deepest - k) * exp) for k, v in acc.items())
     return Fraction(num, den << (deepest * exp))
-
-
-def _to_region_box(regions, ridx, lo_num, hi_num, k):
-    rlo, rhi = regions[ridx]
-    den = 1 << k
-    lo = tuple(rlo[i] + (rhi[i] - rlo[i]) * Fraction(lo_num[i], den) for i in range(len(rlo)))
-    hi = tuple(rlo[i] + (rhi[i] - rlo[i]) * Fraction(hi_num[i], den) for i in range(len(rhi)))
-    return (lo, hi)

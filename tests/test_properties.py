@@ -334,6 +334,20 @@ def test_canonical_json_is_the_stdlib_text(doc):
     assert _text_or_error(canonical_json, doc) == _text_or_error(_stdlib_json, doc)
 
 
+@settings(max_examples=100, deadline=None)
+@given(shared=st.lists(st.text(alphabet="\x00\"\\\u00e9 a", max_size=3), min_size=1, max_size=4))
+def test_canonical_json_writes_a_shared_list_at_each_depth(shared):
+    # one list object several times at depths 1, 2 and 3, as a window's
+    # shape list is shared by all its pieces: the writer joins it once per
+    # depth, and each depth indents it differently
+    doc = {
+        "top": shared,
+        "mid": [shared, shared],
+        "pieces": [{"offset": ["0"], "shape": shared}, {"offset": ["1"], "shape": shared}],
+    }
+    assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("place", ["value", "list", "dict value", "key"])
 def test_canonical_json_rejects_non_finite_floats(bad, place):

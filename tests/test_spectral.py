@@ -15,7 +15,9 @@ from nilframe.polynomial import SpectralPolynomial, determinant
 from nilframe.spectral import (
     SpectrumBox,
     _abs_linear_integral,
+    _depth_geometry,
     _ScaledPoly,
+    _split_box,
     _sublevel_g,
     _sublevel_terms,
     _truncated_power_integral,
@@ -551,6 +553,40 @@ def random_terms(rng, q0, reach, count):
     ]
 
 
+def split_box_reference(lo, hi, k):
+    """Bisection of the first longest axis, computed from the box's own
+    widths: what ``_split_box`` must agree with on refinement boxes."""
+    widths = [h - l for l, h in zip(lo, hi)]
+    axis = widths.index(max(widths))
+    lo2 = tuple(x * 2 for x in lo)
+    hi2 = tuple(x * 2 for x in hi)
+    mid = lo2[axis] + widths[axis]
+    a_hi = tuple(mid if i == axis else hi2[i] for i in range(len(hi2)))
+    b_lo = tuple(mid if i == axis else lo2[i] for i in range(len(lo2)))
+    return (lo2, a_hi, k + 1), (b_lo, hi2, k + 1)
+
+
+class TestDepthGeometry:
+    """Every refinement box at depth k has the shape of ``_depth_geometry``,
+    and the split by depth is the split by widths."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_split_and_table_match_generic_bisection(self, d):
+        rng = random.Random(1000 + d)
+        for _ in range(4):
+            lo, hi, k = (0,) * d, (1,) * d, 0
+            while k <= 64:
+                widths = tuple(h - l for l, h in zip(lo, hi))
+                cells = math.prod(widths)
+                half, table_cells, share, volume = _depth_geometry(k, d)
+                assert half == widths and table_cells == cells
+                assert share == cells / float(1 << (k * d))
+                assert volume == math.prod(2 * w for w in widths)
+                children = _split_box(lo, hi, k)
+                assert children == split_box_reference(lo, hi, k)
+                lo, hi, k = rng.choice(children)
+
+
 class TestTruncatedPowerIntegral:
     """The vertex formula for sum c (q0 + q.v - a)_+^m over [-half, half]."""
 
@@ -706,7 +742,9 @@ class TestSublevelBracket:
             # the model's units onto the integral grid of the given depth
             scale = scaled.int_lcm << ((depth - k - 1) * scaled.int_exp)
             for t, (exact_lo, exact_hi) in exact.items():
-                lower, upper = scaled.model_bracket_num(lo_num, hi_num, k, depth, rho, t)
+                lower, upper = scaled.model_bracket_num(
+                    lo_num, hi_num, k, half, vol, depth, rho, t
+                )
                 assert lower <= exact_lo * scale < lower + 1
                 assert upper - 1 < exact_hi * scale <= upper
 
