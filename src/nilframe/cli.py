@@ -475,7 +475,12 @@ def canonical_json(doc: dict) -> str:
             append(newlines[depth])
             append("}" if is_dict else "]")
 
-    write(doc, 0)
+    try:
+        write(doc, 0)
+    finally:
+        # write refers to itself through this cell: clearing it ends the
+        # cycle, so the text parts go with the call, not with the cyclic GC
+        del write
     append("\n")
     return "".join(parts)
 

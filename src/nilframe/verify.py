@@ -528,25 +528,37 @@ class PeriodizedFiber:
     modulo A Z^d names the piece and c - V = A n names n, so the n-sum is a
     group-by on (u, c - V).  Cells are found in integer arithmetic and a
     residue holding several pieces (a broken window) adds each of them.
+
+    The samples come as lines along the last basis axis, so cells are an
+    int64 matrix product per line plus one step per sample.  A window whose
+    residues each hold one piece (every tiling window) takes a fast path
+    that reads every sample's piece in place; any other window takes one
+    pass per layer of pieces sharing a residue.
     """
 
     def __init__(self, node: FieldNode):
         window, lattice = node.window, node.lattice
         self.lam = node.lam
         d = window.d
-        self.det_c = abs(float(mat_det(lattice.modulation)))
-        # the wide defect test's width: C^-tr Z^d has cell volume sigma^(2d)
-        self.wide_width = min(self.det_c ** (-1.0 / (2 * d)), 3.0)
         mod, mod_den = cleared_denominators(lattice.modulation)
         dual, dual_den = integer_inverse(mat_transpose(mod), mod_den)
+        self.det_c = abs(dual_den / mod_den**d)  # dual_den = det(mod)
+        # the wide defect test's width: C^-tr Z^d has cell volume sigma^(2d)
+        self.wide_width = min(self.det_c ** (-1.0 / (2 * d)), 3.0)
         basis = lll_columns(dual)  # L = basis / dual_den
         self._basis = np.array(basis, dtype=float) / dual_den
-        self._basis_norms = np.sqrt(np.sum(self._basis**2, axis=0))
+        self._basis_norms = np.sqrt(np.sum(self._basis**2, axis=0)).tolist()
+        self._offset = 0.5 + np.array(_THETA[:d])
+        # the axes that lines along the last basis vector cross, and those
+        # they run parallel to
+        self._still = [a for a in range(d) if not basis[a][-1]]
+        self._moving = np.flatnonzero([row[-1] for row in basis]) if self._still else slice(None)
         inv, inv_den = window._shape_inv
-        # P^-1 L, the map from basis coordinates to piece-cell coordinates
-        self._to_cells = [
-            [Fraction(x, inv_den * dual_den) for x in row] for row in mat_mul(inv, basis)
-        ]
+        # P^-1 L = to_cells / to_cells_den, the map from basis coordinates to
+        # piece-cell coordinates, over a positive denominator
+        den = inv_den * dual_den
+        self._to_cells = [[x if den > 0 else -x for x in row] for row in mat_mul(inv, basis)]
+        self._to_cells_den = abs(den)
         self._cells = np.array(window.cells, dtype=np.int64).reshape(-1, d).T
         self._hnf = hnf_columns(window.translation_cells(lattice))
         radix = [self._hnf[i][i] for i in range(d)]
@@ -578,104 +590,185 @@ class PeriodizedFiber:
         sigma = min(min(widths) for _, widths in tests)
         lo = [min(c[a] - _BOX_WIDTHS * w[a] for c, w in tests) for a in range(d)]
         hi = [max(c[a] + _BOX_WIDTHS * w[a] for c, w in tests) for a in range(d)]
-        steps = [math.ceil(2 * float(n) / sigma) for n in self._basis_norms]
+        steps = [math.ceil(2 * n / sigma) for n in self._basis_norms]
         fine = self._basis / steps  # the sample lattice's basis
-        origin = fine @ (0.5 + np.array(_THETA[:d]))
-        k = self._box_points(fine, origin, lo, hi)  # (d, samples)
+        origin = fine @ self._offset
+        prefixes, first, counts, total = self._sample_lines(fine, origin, lo, hi)
 
         # piece cells: t = P^-1 x = R (2k + 1 + 2 theta) / 2 with R = num / den,
         # and 2 R theta lies strictly between two integers
-        num, den = cleared_denominators(
-            [[r / n for r, n in zip(row, steps)] for row in self._to_cells]
-        )
+        num, den = self._cell_map(steps)
         shift = [math.floor(2 * sum(map(mul, row, _THETA))) for row in num]
-        k_max = np.abs(k).max(axis=1, initial=0).tolist()
+        # |k| per coordinate: the prefixes', then each line's first and last
+        k_max = np.abs(np.concatenate([prefixes, [first, first + counts - 1]]))
+        k_max = k_max.max(axis=1, initial=0).tolist()
+        k_max[-2:] = [max(k_max[-2:])]
         if 2 * den >= _INT_LIMIT or any(
             sum(abs(r) * (2 * m + 1) for r, m in zip(row, k_max)) + abs(s) >= _INT_LIMIT
             for row, s in zip(num, shift)
         ):
             raise self._budget_error("piece cells pass the int64 range")
-        odd = 2 * k + 1
-        cells = np.array([sum(r * o for r, o in zip(row, odd)) + s for row, s in zip(num, shift)])
+        # cells = floor((2 num k + num 1 + shift) / (2 den)): the prefixes'
+        # part once per line, the last coordinate's per sample
+        num2 = 2 * np.array(num, dtype=np.int64)
+        base = num2[:, :-1] @ prefixes
+        base += np.array([sum(row) + s for row, s in zip(num, shift)], dtype=np.int64)[:, None]
+        block = np.repeat(
+            np.concatenate([[first - (np.cumsum(counts) - counts)], base, prefixes]),
+            counts,
+            axis=1,
+        )
+        along, cells = block[0], block[1 : d + 1]
+        along += np.arange(total)
+        cells += num2[:, -1:] * along
         cells //= 2 * den
+        # column-major: the einsum for x below sums in an order that follows
+        # k's layout, and so do x's last bits; the reference oracle in the
+        # tests reads k in this layout too
+        k = np.empty((total, d), dtype=np.int64).T
+        k[:-1] = block[d + 1 :]
+        k[-1] = along
 
-        # residues modulo A Z^d, then every piece of each residue class
-        res = cells.copy()
-        for j in range(d):
-            q = res[j] // self._hnf[j][j]
-            for i in range(j, d):
-                if self._hnf[i][j]:
-                    res[i] -= q * self._hnf[i][j]
-        codes = sum(r * s for r, s in zip(res, self._res_strides))
-        rows, diffs = [], []
-        for lookup in self._layers:
-            piece = lookup[codes]
-            hit = np.flatnonzero(piece >= 0)
-            rows.append(hit)
-            diffs.append(cells[:, hit] - self._cells[:, piece[hit]])  # = A n
-        rows = np.concatenate(rows)
-        diffs = np.concatenate(diffs, axis=1)
+        codes = self._residue_codes(cells)
+        piece = self._layers[0][codes]
+        rows = None
+        if len(self._layers) == 1 and piece.min(initial=0) >= 0:
+            # every sample in its residue's one piece
+            cells -= self._cells.take(piece, axis=1)
+            diffs = cells  # = A n
+        else:
+            rows, diffs = [], []
+            for lookup in self._layers:
+                piece = lookup[codes]
+                hit = np.flatnonzero(piece >= 0)
+                rows.append(hit)
+                diffs.append(cells[:, hit] - self._cells[:, piece[hit]])  # = A n
+            rows = np.concatenate(rows)
+            diffs = np.concatenate(diffs, axis=1)
+            k = k[:, rows]
 
         # group on (u, A n), u by its step index on each basis axis
         low = diffs.min(axis=1, initial=0)
         spans = (diffs.max(axis=1, initial=0) - low + 1).tolist()
         if math.prod(steps) * math.prod(spans) >= _INT_LIMIT:
             raise self._budget_error("(u, n) keys pass the int64 range")
-        keys = np.zeros(len(rows), dtype=np.int64)
-        for kj, n in zip(k[:, rows], steps):
+        # the key's u digits: those of the first d - 1 axes are one number
+        # per line, the last axis's runs along it
+        u_line = np.zeros(len(first), dtype=np.int64)
+        for p, n, n_next in zip(prefixes, steps, steps[1:]):
+            u_line += p - p // n * n
+            u_line *= n_next
+        keys = np.repeat(u_line, counts)
+        keys += along - along // steps[-1] * steps[-1]
+        if rows is not None:
+            keys = keys[rows]
+        for diff, lo_j, n in zip(diffs, low.tolist(), spans):
             keys *= n
-            keys += kj % n
-        for diff, lo_j, n in zip(diffs, low, spans):
-            keys *= n
-            keys += diff - lo_j
+            diff -= lo_j
+            keys += diff
         _, groups = np.unique(keys, return_inverse=True)
 
-        x = np.einsum("ij,js->is", fine, k[:, rows]) + origin[:, None]
+        x = np.einsum("ij,js->is", fine, k)
+        x += origin[:, None]
+        z = np.empty_like(x)
         out = []
         for centers, widths in tests:
-            z = (x - np.array(centers)[:, None]) / np.array(widths)[:, None]
-            sums = np.bincount(groups, weights=np.exp(-0.5 * np.einsum("ij,ij->j", z, z)))
+            np.subtract(x, np.array(centers)[:, None], out=z)
+            z /= np.array(widths)[:, None]
+            weights = np.einsum("ij,ij->j", z, z)
+            weights *= -0.5
+            sums = np.bincount(groups, weights=np.exp(weights, out=weights))
             norm_sq = math.prod(w * math.sqrt(math.pi) for w in widths)
             out.append(float(sums @ sums) / (self.det_c * math.prod(steps) * norm_sq))
-        return out, k.shape[1]
+        return out, total
 
-    def _box_points(self, fine: np.ndarray, origin: np.ndarray, lo, hi) -> np.ndarray:
-        """Integer k with fine @ k + origin in the box [lo, hi], as a
-        (d, samples) array: the first d - 1 coordinates run over the box's
-        bounding range, the last over the exact interval where each of their
-        lines meets the box."""
+    def _cell_map(self, steps: Sequence[int]) -> tuple[list[list[int]], int]:
+        """P^-1 L diag(steps)^-1 as integer numerators over the least common
+        denominator of its entries."""
+        den_in = [self._to_cells_den * n for n in steps]
+        gcds = [[math.gcd(x, e) for x, e in zip(row, den_in)] for row in self._to_cells]
+        den = math.lcm(*(e // g for row in gcds for e, g in zip(den_in, row)))
+        return [
+            [x // g * (den // (e // g)) for x, e, g in zip(row, den_in, grow)]
+            for row, grow in zip(self._to_cells, gcds)
+        ], den
+
+    def _residue_codes(self, cells: np.ndarray) -> np.ndarray:
+        """Code sum_i stride_i r_i of each cell's residue r modulo A Z^d,
+        reduced row by row as ``residue`` does."""
+        h = self._hnf
+        codes = np.zeros(cells.shape[1], dtype=np.int64)
+        quotients = []
+        for j, (t, stride) in enumerate(zip(cells, self._res_strides)):
+            for q, h_jl in zip(quotients, h[j]):
+                if h_jl:
+                    t = t - q * h_jl
+            if h[j][j] == 1:  # residue 0
+                quotients.append(t)
+                continue
+            q = t // h[j][j]
+            quotients.append(q)
+            r = t - q * h[j][j]
+            if stride != 1:
+                r *= stride
+            codes += r
+        return codes
+
+    def _sample_lines(self, fine: np.ndarray, origin: np.ndarray, lo, hi):
+        """The integer k with fine @ k + origin in the box [lo, hi], as lines
+        along the last coordinate: the first d - 1 coordinates (a prefix) run
+        over the box's bounding range, the last over the exact interval
+        where the prefix's line meets the box.  Returns the (d - 1, lines)
+        prefixes, first last coordinates and sample counts of the lines that
+        meet the box, and the sample count."""
         d = len(lo)
-        lo, hi = np.array(lo), np.array(hi)
+        if d == 1:  # one line, found by the same float operations on Python floats
+            start, step = float(origin[0]), float(fine[0, 0])
+            ends = ((lo[0] - start) / step, (hi[0] - start) / step)
+            first, last = math.ceil(min(ends)), math.floor(max(ends))
+            total = max(last - first + 1, 0)
+            if total > FIBER_SAMPLE_LIMIT:
+                raise self._budget_error(f"{total} samples, over {FIBER_SAMPLE_LIMIT}")
+            lines = 1 if total else 0
+            return (
+                np.empty((0, lines), dtype=np.int64),
+                np.array([first] * lines, dtype=np.int64),
+                np.array([total] * lines, dtype=np.int64),
+                total,
+            )
+        box = np.array([lo, hi])
+        lo, hi = box
         inv = np.linalg.inv(fine)
         centre = inv @ ((lo + hi) / 2 - origin)
         reach = np.abs(inv) @ ((hi - lo) / 2)
-        axes = [np.arange(math.ceil(c - r), math.floor(c + r) + 1) for c, r in zip(centre, reach)]
-        prefix_count = math.prod(len(a) for a in axes[:-1])
+        ranges = [
+            (math.ceil(c - r), math.floor(c + r) + 1) for c, r in zip(centre[:-1], reach[:-1])
+        ]
+        prefix_count = math.prod(max(stop - start, 0) for start, stop in ranges)
         if prefix_count > FIBER_SAMPLE_LIMIT:
             raise self._budget_error(f"{prefix_count} sample lines, over {FIBER_SAMPLE_LIMIT}")
-        prefixes = np.array(np.meshgrid(*axes[:-1], indexing="ij"), dtype=np.int64)
+        axes = [np.arange(start, stop) for start, stop in ranges]
+        prefixes = np.array(np.meshgrid(*axes, indexing="ij") if d > 2 else axes, dtype=np.int64)
         prefixes = prefixes.reshape(d - 1, prefix_count)
         start = fine[:, :-1] @ prefixes + origin[:, None]
         step = fine[:, -1]
-        first = np.full(prefixes.shape[1], -np.inf)
-        last = np.full(prefixes.shape[1], np.inf)
-        for a in range(d):
-            if step[a] == 0.0:
-                last[(start[a] < lo[a]) | (start[a] > hi[a])] = -np.inf
-                continue
-            t0 = (lo[a] - start[a]) / step[a]
-            t1 = (hi[a] - start[a]) / step[a]
-            first = np.maximum(first, np.minimum(t0, t1))
-            last = np.minimum(last, np.maximum(t0, t1))
-        first, last = np.ceil(first), np.floor(last)  # first is finite: L is nonsingular
-        counts = np.where(last >= first, last - first + 1, 0).astype(np.int64)
-        first = first.astype(np.int64)
+        moving = self._moving
+        # where each line crosses the box's two faces on every axis it crosses
+        ends = (box[:, moving, None] - start[moving]) / step[moving, None]
+        first = np.ceil(np.minimum(*ends).max(axis=0))
+        last = np.floor(np.maximum(*ends).min(axis=0))
+        for a in self._still:
+            last[(start[a] < lo[a]) | (start[a] > hi[a])] = -np.inf
+        counts = last - first + 1  # first is finite: L is nonsingular
+        counts = counts.clip(0, out=counts).astype(np.int64)
         total = int(counts.sum())
         if total > FIBER_SAMPLE_LIMIT:
             raise self._budget_error(f"{total} samples, over {FIBER_SAMPLE_LIMIT}")
-        line = np.repeat(np.arange(len(counts)), counts)
-        along = first[line] + np.arange(total) - (np.cumsum(counts) - counts)[line]
-        return np.vstack([prefixes[:, line], along])
+        first = first.astype(np.int64)
+        if counts.all():
+            return prefixes, first, counts, total
+        hit = counts > 0
+        return prefixes[:, hit], first[hit], counts[hit], total
 
 
 def alias_periods(generator: FrameGeneratorField) -> list[int]:

@@ -325,6 +325,42 @@ class TestRunCommand:
         assert "over 10" in report["error"]["message"]
         assert "synthesis" in report and "verification" not in report
 
+    @pytest.mark.parametrize(
+        "fixture, b, what",
+        [
+            ("heisenberg", ["10000000000"], "10000000046 samples, over 1000000"),
+            ("example2", ["30000000000"] * 2, "47434164976 sample lines, over 1000000"),
+        ],
+    )
+    def test_verify_sample_budget_before_allocation(self, fixture, b, what):
+        # at b near 10**10 the tests are so narrow that a sample set spans
+        # about 10**10 steps of the sample lattice: the budget refuses it
+        # before any array of that length is made
+        doc = json.loads(fixture_path(f"{fixture}.json").read_text())
+        doc["lattice"] = {"q": ["1"] * len(b), "b": b}
+        report, code = run_command("verify", parse_config(doc))
+        assert code == EXIT_CERTIFICATION
+        assert report["error"]["message"].endswith(what)
+
+    @pytest.mark.parametrize(
+        "limit, what",
+        [(2**4, "piece cells pass the int64 range"), (2**9, "(u, n) keys pass the int64 range")],
+        ids=["piece-cells", "keys"],
+    )
+    def test_verify_int64_guards_exit_4(self, monkeypatch, limit, what):
+        # the oracle's integer work is bounded before it is done: with the
+        # bound lowered, each guard ends the stage in a certification error
+        # (heisenberg's first fiber needs 2**6 for its cells, 2**11 for its
+        # keys)
+        import nilframe.verify as verify
+
+        monkeypatch.setattr(verify, "_INT_LIMIT", limit)
+        report, code = run_command("verify", parse_config(fixture_path("heisenberg.json")))
+        assert code == EXIT_CERTIFICATION
+        assert report["error"]["type"] == "certification"
+        assert report["error"]["message"].endswith(what)
+        assert "synthesis" in report and "verification" not in report
+
     def test_verify_names_the_worst_fiber(self, monkeypatch):
         # the 28-piece window at λ = (3/4, 11/4) loses its last piece: the
         # report names that fiber and the wide test, which sees the gap

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import random
@@ -346,6 +347,26 @@ def test_canonical_json_writes_a_shared_list_at_each_depth(shared):
         "pieces": [{"offset": ["0"], "shape": shared}, {"offset": ["1"], "shape": shared}],
     }
     assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"b": [1, 2.5, "x"], "a": {"c": None}, "d": True}, {"v": [float("nan")]}],
+    ids=["text", "error"],
+)
+def test_canonical_json_leaves_no_cyclic_garbage(doc):
+    # the writer is freed with its call, the text parts with it: nothing is
+    # left for the cyclic collector, also when the document is refused
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            canonical_json(doc)
+        except ValueError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

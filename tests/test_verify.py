@@ -704,6 +704,246 @@ class TestPeriodizedFiber:
         assert exact.energy - truncated.energy <= truncated.tail_fraction * truncated.energy
 
 
+def periodized_reference(node, tests, extents=None):
+    """(ratios, sample count) of ``PeriodizedFiber(node).ratios(tests)`` by
+    the oracle's first, unfused form: Fraction cell maps per call, cells and
+    residues row by row, and one pass per layer of pieces for every window.
+    A reference for the fused oracle, which must agree with it bit for bit.
+    A dict given as ``extents`` receives the largest integer magnitude of
+    the cell numerators and divisor ("cells") and of the group keys
+    ("keys")."""
+    from collections import Counter
+    from operator import mul
+
+    from nilframe.intlattice import (
+        cleared_denominators,
+        hnf_columns,
+        integer_inverse,
+        lll_columns,
+        mat_det,
+        mat_mul,
+        mat_transpose,
+        residue,
+    )
+
+    window, lattice = node.window, node.lattice
+    d = window.d
+    det_c = abs(float(mat_det(lattice.modulation)))
+    mod, mod_den = cleared_denominators(lattice.modulation)
+    dual, dual_den = integer_inverse(mat_transpose(mod), mod_den)
+    basis = lll_columns(dual)
+    basis_f = np.array(basis, dtype=float) / dual_den
+    basis_norms = np.sqrt(np.sum(basis_f**2, axis=0))
+    inv, inv_den = window._shape_inv
+    to_cells = [[F(x, inv_den * dual_den) for x in row] for row in mat_mul(inv, basis)]
+    piece_cells = np.array(window.cells, dtype=np.int64).reshape(-1, d).T
+    hnf = hnf_columns(window.translation_cells(lattice))
+    radix = [hnf[i][i] for i in range(d)]
+    strides = [math.prod(radix[i + 1 :]) for i in range(d)]
+    layers = []
+    seen = Counter()
+    for j, v in enumerate(window.cells):
+        code = sum(map(mul, residue(v, hnf), strides))
+        if seen[code] == len(layers):
+            layers.append(np.full(math.prod(radix), -1, dtype=np.int64))
+        layers[seen[code]][code] = j
+        seen[code] += 1
+
+    theta = verify._THETA[:d]
+    sigma = min(min(widths) for _, widths in tests)
+    lo = np.array([min(c[a] - 10 * w[a] for c, w in tests) for a in range(d)])
+    hi = np.array([max(c[a] + 10 * w[a] for c, w in tests) for a in range(d)])
+    steps = [math.ceil(2 * float(n) / sigma) for n in basis_norms]
+    fine = basis_f / steps
+    origin = fine @ (0.5 + np.array(theta))
+
+    # the sample set, line by line along the last coordinate
+    inv_f = np.linalg.inv(fine)
+    centre = inv_f @ ((lo + hi) / 2 - origin)
+    reach = np.abs(inv_f) @ ((hi - lo) / 2)
+    axes = [np.arange(math.ceil(c - r), math.floor(c + r) + 1) for c, r in zip(centre, reach)]
+    prefixes = np.array(np.meshgrid(*axes[:-1], indexing="ij"), dtype=np.int64)
+    prefixes = prefixes.reshape(d - 1, math.prod(len(a) for a in axes[:-1]))
+    start = fine[:, :-1] @ prefixes + origin[:, None]
+    step = fine[:, -1]
+    first = np.full(prefixes.shape[1], -np.inf)
+    last = np.full(prefixes.shape[1], np.inf)
+    for a in range(d):
+        if step[a] == 0.0:
+            last[(start[a] < lo[a]) | (start[a] > hi[a])] = -np.inf
+            continue
+        t0 = (lo[a] - start[a]) / step[a]
+        t1 = (hi[a] - start[a]) / step[a]
+        first = np.maximum(first, np.minimum(t0, t1))
+        last = np.minimum(last, np.maximum(t0, t1))
+    first, last = np.ceil(first), np.floor(last)
+    counts = np.where(last >= first, last - first + 1, 0).astype(np.int64)
+    first = first.astype(np.int64)
+    total = int(counts.sum())
+    line = np.repeat(np.arange(len(counts)), counts)
+    along = first[line] + np.arange(total) - (np.cumsum(counts) - counts)[line]
+    k = np.vstack([prefixes[:, line], along])
+
+    num, den = cleared_denominators([[r / n for r, n in zip(row, steps)] for row in to_cells])
+    shift = [math.floor(2 * sum(map(mul, row, theta))) for row in num]
+    odd = 2 * k + 1
+    cells = np.array([sum(r * o for r, o in zip(row, odd)) + s for row, s in zip(num, shift)])
+    if extents is not None:
+        extents["cells"] = max(2 * den, int(np.abs(cells).max(initial=0)))
+    cells //= 2 * den
+    res = cells.copy()
+    for j in range(d):
+        q = res[j] // hnf[j][j]
+        for i in range(j, d):
+            if hnf[i][j]:
+                res[i] -= q * hnf[i][j]
+    codes = sum(r * s for r, s in zip(res, strides))
+    rows, diffs = [], []
+    for lookup in layers:
+        piece = lookup[codes]
+        hit = np.flatnonzero(piece >= 0)
+        rows.append(hit)
+        diffs.append(cells[:, hit] - piece_cells[:, piece[hit]])
+    rows = np.concatenate(rows)
+    diffs = np.concatenate(diffs, axis=1)
+
+    low = diffs.min(axis=1, initial=0)
+    spans = (diffs.max(axis=1, initial=0) - low + 1).tolist()
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for kj, n in zip(k[:, rows], steps):
+        keys *= n
+        keys += kj % n
+    for diff, lo_j, n in zip(diffs, low, spans):
+        keys *= n
+        keys += diff - lo_j
+    if extents is not None:
+        extents["keys"] = int(keys.max(initial=0))
+    _, groups = np.unique(keys, return_inverse=True)
+
+    x = np.einsum("ij,js->is", fine, k[:, rows]) + origin[:, None]
+    out = []
+    for centers, widths in tests:
+        z = (x - np.array(centers)[:, None]) / np.array(widths)[:, None]
+        sums = np.bincount(groups, weights=np.exp(-0.5 * np.einsum("ij,ij->j", z, z)))
+        norm_sq = math.prod(w * math.sqrt(math.pi) for w in widths)
+        out.append(float(sums @ sums) / (det_c * math.prod(steps) * norm_sq))
+    return out, total
+
+
+# two Heisenberg algebras side by side: B(λ) = diag(λ1, λ2)
+HEISENBERG_PAIR_DOC = {"n": 6, "d": 2, "brackets": {"X1,Y1": ["1", "0"], "X2,Y2": ["0", "1"]}}
+
+
+def cli_tests(fiber, b):
+    """The CLI's two sample sets of a fiber: its three test fields' Gaussians
+    (the narrow defect test first), and the wide defect test."""
+    centres = [0.5 / float(x) for x in b]
+    widths = [0.08 / float(x) for x in b]
+    fields = [
+        ([c - 0.02 * i for c in centres], [w * (1.0 + 0.15 * i) for w in widths])
+        for i in range(3)
+    ]
+    return fields, [(centres, [fiber.wide_width] * len(b))]
+
+
+class TestPeriodizedReference:
+    """The fused oracle against its first form: the same sample counts and
+    the same ratios to the last bit, through the one-layer fast path on
+    synthesized windows and the per-layer path on broken ones."""
+
+    @pytest.mark.parametrize(
+        "doc, a, b, grid, role, parallel",
+        [
+            (HEISENBERG_DOC, ["1"], ["1"], [16], "frame", False),
+            (EXAMPLE2_DOC, ["2", "3"], ["3", "3"], [4, 6], "frame", False),
+            (EXAMPLE3_DOC, ["1"] * 3, ["1"] * 3, [3, 3, 3], "wavelet", False),
+            (HEISENBERG_PAIR_DOC, ["1", "1"], ["1", "1"], [3, 3], "frame", True),
+        ],
+        ids=["heisenberg", "example2", "example3-wavelet", "heisenberg-pair"],
+    )
+    def test_synthesized_fields(self, doc, a, b, grid, role, parallel):
+        # parallel: every fiber's sample lines run parallel to a coordinate
+        # axis, which the sampler treats apart (the pair's lattices are
+        # diagonal)
+        from nilframe.algebra import load_spec
+
+        params = QuasiLatticeParams(
+            a=tuple(map(F, a)), q=(F(1),) * len(b), b=tuple(map(F, b))
+        )
+        field = build_generator_field(
+            load_spec(doc), params, SpectrumBox(a=tuple(map(F, a))), grid_shape=grid, role=role
+        )
+        for node in field.nodes:
+            fiber = PeriodizedFiber(node)
+            assert len(fiber._layers) == 1
+            assert bool(fiber._still) == parallel
+            for tests in cli_tests(fiber, params.b):
+                assert fiber.ratios(tests) == periodized_reference(node, tests), node.lam
+
+    def test_broken_windows(self, fiber):
+        # the deleted, duplicated and moved windows of TestPeriodizedFiber;
+        # the duplicated one has two layers, the others miss residues
+        window, lat = fiber
+        col = [row[0] for row in lat.translation]
+        moved = tuple(o + t for o, t in zip(window.offsets[1], col))
+        layers = []
+        for offsets in (
+            window.offsets[:-1],
+            window.offsets + window.offsets[:1],
+            window.offsets[:1] + (moved,) + window.offsets[2:],
+        ):
+            node = FieldNode(
+                lam=lat.lam, window=replace(window, offsets=offsets), normalization=1.0, lattice=lat
+            )
+            oracle = PeriodizedFiber(node)
+            layers.append(len(oracle._layers))
+            for tests in cli_tests(oracle, (F(3), F(3))):
+                assert oracle.ratios(tests) == periodized_reference(node, tests)
+        assert layers == [1, 2, 1]
+
+    @pytest.mark.parametrize("which", ["heisenberg", "example2"])
+    def test_int64_guards_are_sound(self, fiber, monkeypatch, which):
+        # lowering the integer bound step by step: first the piece cells,
+        # then the (u, n) keys leave it; a guard that passes holds every
+        # integer it guards, as the reference computes them, below the bound
+        # (heisenberg's samples are one line: its cells are all last
+        # coordinate), and wherever both pass the ratios are the full bound's
+        if which == "heisenberg":
+            from nilframe.algebra import load_spec
+
+            params = QuasiLatticeParams(a=(F(1),), q=(F(1),), b=(F(1),))
+            node = build_generator_field(
+                load_spec(HEISENBERG_DOC), params, SpectrumBox(a=(F(1),)), grid_shape=[16]
+            ).nodes[0]
+        else:
+            window, lat = fiber
+            node = FieldNode(lam=lat.lam, window=window, normalization=1.0, lattice=lat)
+            params = QuasiLatticeParams(a=(F(2), F(3)), q=(F(1), F(1)), b=(F(3), F(3)))
+        oracle = PeriodizedFiber(node)
+        tests = cli_tests(oracle, params.b)[0]
+        extents = {}
+        full = periodized_reference(node, tests, extents)
+        seen = []
+        for e in range(1, 63):
+            monkeypatch.setattr(verify, "_INT_LIMIT", 2**e)
+            try:
+                assert oracle.ratios(tests) == full
+                outcome = "pass"
+            except CertificationError as err:
+                outcome = str(err).rsplit(": ", 1)[1]
+            if outcome != "piece cells pass the int64 range":
+                assert extents["cells"] < 2**e
+            if outcome == "pass":
+                assert extents["keys"] < 2**e
+            if not seen or seen[-1] != outcome:
+                seen.append(outcome)
+        assert seen == [
+            "piece cells pass the int64 range",
+            "(u, n) keys pass the int64 range",
+            "pass",
+        ]
+
+
 class TestTwoDimensionalFiber:
     def test_defect_small_at_volume_one_fiber(self, example2):
         # painless window on the d = 2 fiber of full lattice volume
