@@ -530,10 +530,11 @@ class PeriodizedFiber:
     residue holding several pieces (a broken window) adds each of them.
 
     The samples come as lines along the last basis axis, so cells are an
-    int64 matrix product per line plus one step per sample.  A window whose
-    residues each hold one piece (every tiling window) takes a fast path
-    that reads every sample's piece in place; any other window takes one
-    pass per layer of pieces sharing a residue.
+    int64 matrix product per line plus one step per sample.  A call takes a
+    fast path that reads every sample's piece in place when the window has
+    one layer (no residue holds two pieces) and every sample of the call
+    finds a piece, as on every tiling window; otherwise it takes one pass
+    per layer of pieces sharing a residue.
     """
 
     def __init__(self, node: FieldNode):
@@ -722,20 +723,6 @@ class PeriodizedFiber:
         prefixes, first last coordinates and sample counts of the lines that
         meet the box, and the sample count."""
         d = len(lo)
-        if d == 1:  # one line, found by the same float operations on Python floats
-            start, step = float(origin[0]), float(fine[0, 0])
-            ends = ((lo[0] - start) / step, (hi[0] - start) / step)
-            first, last = math.ceil(min(ends)), math.floor(max(ends))
-            total = max(last - first + 1, 0)
-            if total > FIBER_SAMPLE_LIMIT:
-                raise self._budget_error(f"{total} samples, over {FIBER_SAMPLE_LIMIT}")
-            lines = 1 if total else 0
-            return (
-                np.empty((0, lines), dtype=np.int64),
-                np.array([first] * lines, dtype=np.int64),
-                np.array([total] * lines, dtype=np.int64),
-                total,
-            )
         box = np.array([lo, hi])
         lo, hi = box
         inv = np.linalg.inv(fine)
