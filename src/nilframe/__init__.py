@@ -34,14 +34,8 @@ from .spectral import (
     sup_density,
 )
 from .verify import (
-    BandlimitedField,
     PeriodizedFiber,
-    TruncationSpec,
-    fiber_parseval_defect,
-    frame_energy_ratio,
     gram_orthonormality_check,
-    make_aligned_grid,
-    make_test_field,
     periodized_frame_ratio,
     window_tiling_check,
 )
@@ -83,14 +77,8 @@ __all__ = [
     "build_generator_field",
     "field_to_document",
     "synthesize_window",
-    "BandlimitedField",
     "PeriodizedFiber",
-    "TruncationSpec",
-    "fiber_parseval_defect",
-    "frame_energy_ratio",
     "gram_orthonormality_check",
-    "make_aligned_grid",
-    "make_test_field",
     "periodized_frame_ratio",
     "window_tiling_check",
 ]

@@ -46,7 +46,6 @@ from .spectral import (
 )
 from .verify import (
     PeriodizedFiber,
-    TruncationSpec,
     bump_profile,
     gram_orthonormality_check,
     periodized_frame_ratio,
@@ -170,13 +169,12 @@ def _stage_synthesize(
 
 def _stage_verify(config: ConfigDocument, report: dict, field: FrameGeneratorField) -> bool:
     """The tiling certificate, the exact (periodized) fiber ratios of every
-    usable node, and the test fields' frame ratios built from them.  The
-    x-grid and truncation keys of ``verification`` configure only the
-    library's truncated oracle; the Gram check reads k, n in {-1, 0, 1}."""
+    usable node, and the test fields' frame ratios built from them.  No
+    ``verification`` key is read here (``lam_grid`` sized the field); the
+    Gram check runs over k, n in {-1, 0, 1}^d."""
     if not field.nodes:
         raise SchemaError("verify", "generator field has no usable nodes")
-    spec = config.algebra
-    d = spec.d
+    d = config.algebra.d
     b = field.params.b
 
     tiling = window_tiling_check([(n.window, n.lattice) for n in field.nodes])
@@ -208,10 +206,7 @@ def _stage_verify(config: ConfigDocument, report: dict, field: FrameGeneratorFie
 
     gram = None
     if config.lattice.onb_requested:
-        small = TruncationSpec(
-            m_half=(0,) * spec.center_dim, k_half=(1,) * d, n_half=(1,) * d
-        )
-        gram = gram_orthonormality_check(field, small)
+        gram = gram_orthonormality_check(field, 1)
 
     if config.output.csv_path:
         rows = "".join(

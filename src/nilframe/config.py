@@ -40,12 +40,6 @@ class VerificationConfig:
     """Verify-stage inputs, every default already resolved by ``parse_config``."""
 
     lam_grid: tuple[int, ...]
-    points_per_cell: tuple[int, ...]
-    cells_before: tuple[int, ...]
-    cells_after: tuple[int, ...]
-    m_half: tuple[int, ...]
-    k_half: tuple[int, ...]
-    n_half: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -103,12 +97,12 @@ def _get_path(obj: Mapping, key: str, path: str) -> str | None:
 
 
 def _get_int_vector(
-    obj: Mapping, key: str, path: str, length: int, fill: int, least: int
-) -> tuple[int, ...]:
-    """The integer list at ``key``, every entry at least ``least``, or
-    ``fill`` repeated ``length`` times."""
+    obj: Mapping, key: str, path: str, length: int, least: int
+) -> tuple[int, ...] | None:
+    """The integer list at ``key``, every entry at least ``least``, or None
+    when the key is absent."""
     if key not in obj:
-        return (fill,) * length
+        return None
     v = obj[key]
     if not isinstance(v, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in v
@@ -187,30 +181,24 @@ def parse_config(source: str | Path | Mapping) -> ConfigDocument:
         raise SchemaError("lattice.precision_digits", "expected a positive integer")
     lattice = LatticeConfig(q=q, b=b, onb_requested=onb, precision_digits=digits)
 
-    verification_raw = _section(
-        doc,
-        "verification",
-        {
-            "lam_grid",
-            "points_per_cell",
-            "cells_before",
-            "cells_after",
-            "m_half",
-            "k_half",
-            "n_half",
-        },
-    )
     v, d = algebra.center_dim, algebra.d
-    kn = 16 if d == 1 else 4  # the k, n range grows as (2 kn + 1)^(2d)
-    verification = VerificationConfig(
-        lam_grid=_get_int_vector(verification_raw, "lam_grid", "verification", v, 16, 1),
-        points_per_cell=_get_int_vector(verification_raw, "points_per_cell", "verification", d, 52, 1),
-        cells_before=_get_int_vector(verification_raw, "cells_before", "verification", d, 2, 0),
-        cells_after=_get_int_vector(verification_raw, "cells_after", "verification", d, 3, 1),
-        m_half=_get_int_vector(verification_raw, "m_half", "verification", v, 32, 0),
-        k_half=_get_int_vector(verification_raw, "k_half", "verification", d, kn, 0),
-        n_half=_get_int_vector(verification_raw, "n_half", "verification", d, kn, 0),
-    )
+    # (length, least entry) per key; only lam_grid is read by a command, the
+    # others size the library's truncated oracle and are only range-checked
+    int_keys = {
+        "lam_grid": (v, 1),
+        "points_per_cell": (d, 1),
+        "cells_before": (d, 0),
+        "cells_after": (d, 1),
+        "m_half": (v, 0),
+        "k_half": (d, 0),
+        "n_half": (d, 0),
+    }
+    verification_raw = _section(doc, "verification", set(int_keys))
+    checked = {
+        key: _get_int_vector(verification_raw, key, "verification", length, least)
+        for key, (length, least) in int_keys.items()
+    }
+    verification = VerificationConfig(lam_grid=checked["lam_grid"] or (16,) * v)
 
     output_raw = _section(doc, "output", {"field_path", "csv_path"})
     output = OutputConfig(

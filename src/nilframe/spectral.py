@@ -84,21 +84,6 @@ def build_matrices(spec: LieAlgebraSpec) -> SpectralMatrices:
     )
 
 
-def block_structure_holds(mats: SpectralMatrices, d: int) -> bool:
-    """Jump block must be [[0, Bt], [-B, 0]] for the modulation matrix B."""
-    V = mats.jump_block
-    B = mats.modulation
-    for i in range(d):
-        for j in range(d):
-            if not V[i][j].is_zero() or not V[d + i][d + j].is_zero():
-                return False
-            if V[i][d + j] != B[j][i]:  # Y-X block equals B transposed
-                return False
-            if V[d + i][j] != -B[i][j]:  # X-Y block equals -B
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class PfaffianReport:
     passed: bool

@@ -14,16 +14,18 @@ amp(λ) f(x) is then the density-weighted sum of its fiber energies over one
 alias period of the λ-grid.
 
 The truncated oracle (``fiber_parseval_defect``, ``frame_energy_ratio``,
-``make_test_field``) is kept for the library and its tests: representations
-act on sampled functions over an aligned x-grid, inner products are
-rectangle-rule quadratures over a finite k, n range, and the full frame
-energy is accumulated through the coefficient formula (fiber inner
-products, weighted by the Plancherel density, expanded against the
-exponential family of the spectral box), with the energy of the last shell
-reported as its tail.  Modulations factor over the axes of the product
-x-grid, exp(-2 pi i x.Bk) = prod_a exp(-2 pi i x_a (Bk)_a): with one phase
-table per axis and node, each (translation, node) pair costs one matrix
-product for every k at once.
+``make_test_field``) is the library's reference.  No command runs it and
+no config key sizes it: callers pass their own ``XGrid``
+(``make_aligned_grid``) and ``TruncationSpec``.  Representations act on
+sampled functions over the aligned x-grid, inner products are rectangle-rule
+quadratures over a finite k, n range, and the full frame energy is
+accumulated through the coefficient formula (fiber inner products, weighted
+by the Plancherel density, expanded against the exponential family of the
+spectral box), with the energy of the last shell reported as its tail.
+Modulations factor over the axes of the product x-grid,
+exp(-2 pi i x.Bk) = prod_a exp(-2 pi i x_a (Bk)_a): with one phase table
+per axis and node, each (translation, node) pair costs one matrix product
+for every k at once.
 
 The λ side is read from the generator field alone: its usable nodes, their
 float densities |det B(λ)| and its cell volume; a test field of the
@@ -194,7 +196,7 @@ class TruncationSpec:
     def __post_init__(self):
         for name, vec in (("m", self.m_half), ("k", self.k_half), ("n", self.n_half)):
             if any(h < 0 for h in vec):
-                raise SchemaError(f"verification.{name}_half", "half-widths must be non-negative")
+                raise ValueError(f"{name}_half: half-widths must be non-negative, got {vec}")
 
     def gamma_range(self) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Reduced lattice indices (k, n) in canonical lexicographic order."""
@@ -967,19 +969,19 @@ class _FiberGram:
         return self.weight * np.exp(2j * np.pi * phase0) * exp_sum * edge
 
 
-def gram_orthonormality_check(
-    generator: FrameGeneratorField,
-    trunc: TruncationSpec,
-) -> GramReport:
+def gram_orthonormality_check(generator: FrameGeneratorField, half: int) -> GramReport:
     """Gram matrix of the generator's quasi-lattice system in the spectral
-    domain, over the index set of ``trunc``.
+    domain, over the indices k, n in {-half, ..., half}^d (k outer, n inner).
 
     Every entry, the diagonal included, comes from one closed-form fiber
     formula.  The diagonal is the same for every index and equals the
     generator's squared norm (reported as the basis witness); off-diagonal
     magnitudes measure deviation from orthogonality.
     """
-    gammas = list(trunc.gamma_range())
+    if half < 0:
+        raise ValueError(f"half must be non-negative, got {half}")
+    cube = list(product(range(-half, half + 1), repeat=len(generator.params.b)))
+    gammas = list(product(cube, cube))
     cell = float(generator.cell_volume)
     inv_prod_a = 1.0 / float(generator.params.prod_a)
     helpers = [_FiberGram(node) for node in generator.nodes]

@@ -23,7 +23,7 @@ from nilframe.cli import (
     main,
     run_command,
 )
-from nilframe.config import parse_config
+from nilframe.config import VerificationConfig, parse_config
 from nilframe.errors import (
     CertificationError,
     DegenerateFiberError,
@@ -93,19 +93,14 @@ class TestParseConfig:
             parse_config(desk_config_doc(spectrum={"a": [1.5]}))
 
     @pytest.mark.parametrize(
-        "algebra, a, kn",
-        [(HEISENBERG_DOC, ["1"], (16,)), (EXAMPLE2_DOC, ["2", "3"], (4, 4))],
+        "algebra, a",
+        [(HEISENBERG_DOC, ["1"]), (EXAMPLE2_DOC, ["2", "3"])],
     )
-    def test_verification_defaults_resolved_at_parse(self, algebra, a, kn):
+    def test_verification_defaults_resolved_at_parse(self, algebra, a):
+        # lam_grid is the one verification value a command reads
         doc = {"algebra": algebra, "spectrum": {"a": a}}
         config = parse_config(doc)
-        v, d = len(a), len(kn)
-        ver = config.verification
-        assert ver.lam_grid == (16,) * v
-        assert ver.points_per_cell == (52,) * d
-        assert (ver.cells_before, ver.cells_after) == ((2,) * d, (3,) * d)
-        assert ver.m_half == (32,) * v
-        assert ver.k_half == ver.n_half == kn
+        assert config.verification == VerificationConfig(lam_grid=(16,) * len(a))
         assert config.raw == doc
 
     @pytest.mark.parametrize("key", ["sup_tol", "measure_tol", "sublevel_tol"])
@@ -261,11 +256,11 @@ class TestRunCommand:
         assert code == EXIT_PASS
         assert report["verification"] == base["verification"]
 
-        # field 0 of the truncated oracle, at the config's truncations
+        # field 0 of the truncated oracle, at the config's truncations and
+        # the x-grid the config used to default to
         field, = fields
-        ver = config.verification
         b = field.params.b
-        x_grid = make_aligned_grid(b, ver.cells_before, ver.cells_after, ver.points_per_cell)
+        x_grid = make_aligned_grid(b, [2], [3], [52])
         (lo, hi), = field.box.region()
         psi = make_test_field(
             field,
@@ -276,17 +271,23 @@ class TestRunCommand:
             ),
             space_profile=gaussian_profile([0.5 / float(x) for x in b], [0.08 / float(x) for x in b]),
         )
-        trunc = TruncationSpec(m_half=ver.m_half, k_half=ver.k_half, n_half=ver.n_half)
+        trunc = TruncationSpec(m_half=(0,), k_half=(0,), n_half=(0,))
         assert frame_energy_ratio(psi, field, trunc).ratio < 1.0
 
     def test_verify_truncation_keys_still_range_check(self):
-        # the x-grid and truncation keys configure only the library's
-        # truncated oracle, and still parse and range-check; their least
-        # values leave the exact verify stage's report as the default run's
-        base, _ = run_command("verify", parse_config(desk_config_doc()))
+        # the x-grid and truncation keys size only the library's truncated
+        # oracle: they still parse and range-check, but any in-range values
+        # parse to the same verification config as leaving them out, and
+        # their least values leave the verify report as the default run's
+        base_config = parse_config(desk_config_doc())
+        base, _ = run_command("verify", base_config)
         least_values = {
             "m_half": 0, "k_half": 0, "n_half": 0, "points_per_cell": 1, "cells_before": 0, "cells_after": 1
         }
+        for offset in (0, 1, 7, 52):
+            doc = desk_config_doc()
+            doc["verification"].update({key: [least + offset] for key, least in least_values.items()})
+            assert parse_config(doc).verification == base_config.verification
         doc = desk_config_doc()
         doc["verification"].update({key: [least] for key, least in least_values.items()})
         report, code = run_command("verify", parse_config(doc))

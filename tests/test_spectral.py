@@ -21,7 +21,6 @@ from nilframe.spectral import (
     _sublevel_g,
     _sublevel_terms,
     _truncated_power_integral,
-    block_structure_holds,
     build_matrices,
     density_polynomial,
     eval_density,
@@ -62,8 +61,15 @@ class TestBuildMatrices:
         assert len(seen) == 3  # all three central coordinates appear
 
     def test_block_structure(self, heisenberg, example2, example3):
+        # the jump block is [[0, B^T], [-B, 0]] for the modulation matrix B
         for spec in (heisenberg, example2, example3):
-            assert block_structure_holds(build_matrices(spec), spec.d)
+            mats = build_matrices(spec)
+            jump, b, d = mats.jump_block, mats.modulation, spec.d
+            for i in range(d):
+                for j in range(d):
+                    assert jump[i][j].is_zero() and jump[d + i][d + j].is_zero()
+                    assert jump[i][d + j] == b[j][i]
+                    assert jump[d + i][j] == -b[i][j]
 
     def test_pairing_entries_are_degree_one(self, example2):
         mats = build_matrices(example2)

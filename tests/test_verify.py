@@ -1055,8 +1055,7 @@ class TestGram:
             assert fine <= coarse + 1e-12  # quadrature converges toward the closed form
 
     def test_diagonal_is_generator_norm(self, heisenberg_module, desk_field):
-        trunc = TruncationSpec(m_half=(0,), k_half=(1,), n_half=(1,))
-        rep = gram_orthonormality_check(desk_field, trunc)
+        rep = gram_orthonormality_check(desk_field, 1)
         # expected norm^2 = mu(box)/(prod a b q) = 1/2, up to grid quadrature
         assert rep.diagonal_value == pytest.approx(0.5, abs=1e-6)
         assert rep.max_diagonal_deviation == pytest.approx(0.5, abs=1e-6)
@@ -1065,18 +1064,15 @@ class TestGram:
         p = QuasiLatticeParams(a=(F(2), F(3)), q=(F(1), F(1)), b=(F(3), F(3)))
         box = SpectrumBox(a=(F(2), F(3)))
         field = build_generator_field(example2, p, box, grid_shape=[16, 24], role="frame")
-        trunc = TruncationSpec(m_half=(0, 0), k_half=(0, 0), n_half=(0, 0))
-        rep = gram_orthonormality_check(field, trunc)
+        rep = gram_orthonormality_check(field, 0)
         assert rep.diagonal_value == pytest.approx(23.0 / 81.0, rel=2e-2)
         assert abs(rep.diagonal_value - 1.0) > 0.5  # nowhere near a basis
 
     def test_offdiagonal_bounded_by_diagonal(self, heisenberg_module, desk_field):
         # Cauchy-Schwarz: no coherence can exceed the common norm of the system
-        trunc = TruncationSpec(m_half=(1,), k_half=(1,), n_half=(1,))
-        rep = gram_orthonormality_check(desk_field, trunc)
+        rep = gram_orthonormality_check(desk_field, 1)
         assert rep.max_offdiagonal <= rep.diagonal_value + 1e-9
 
     def test_diagonal_real_nonnegative(self, heisenberg_module, desk_field):
-        trunc = TruncationSpec(m_half=(0,), k_half=(2,), n_half=(2,))
-        rep = gram_orthonormality_check(desk_field, trunc)
+        rep = gram_orthonormality_check(desk_field, 2)
         assert rep.diagonal_value >= 0.0
